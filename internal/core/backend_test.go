@@ -313,18 +313,6 @@ func TestNoCriticalFirstAblation(t *testing.T) {
 	}
 }
 
-func TestCopier(t *testing.T) {
-	eng := sim.New()
-	hbm, ddr := testDevices(eng)
-	c := NewCopier(eng, 4)
-	done := false
-	c.Copy(ddr, 5, hbm, 9, mem.KindFill, func() { done = true })
-	waitFor(t, eng, func() bool { return done }, 200_000)
-	if ddr.Stats().Reads != 64 || hbm.Stats().Writes != 64 {
-		t.Fatalf("copier moved %d reads / %d writes", ddr.Stats().Reads, hbm.Stats().Writes)
-	}
-}
-
 func TestBackendString(t *testing.T) {
 	eng := sim.New()
 	b, _, _ := newTestBackend(eng, DefaultBackendConfig())

@@ -150,6 +150,9 @@ func (s *Server) timeline(w http.ResponseWriter, r *http.Request, key string) {
 	w.Header().Set("Cache-Control", "no-cache")
 	history, live, cancel := h.Subscribe()
 	defer cancel()
+	// Send the headers now: a client that attaches before the first row
+	// would otherwise wait up to a keepalive period for its response.
+	fl.Flush()
 	emit := func(row TimelineRow) bool {
 		data, err := json.Marshal(row)
 		if err != nil {

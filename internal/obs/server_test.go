@@ -457,6 +457,37 @@ func TestTimelineKeepalive(t *testing.T) {
 	}
 }
 
+// TestTimelineHeadersBeforeFirstRow checks a client attaching to an idle
+// run gets its response headers at once, not after the first row or
+// keepalive frame. It runs at the real keepalive period.
+func TestTimelineHeadersBeforeFirstRow(t *testing.T) {
+	const bound = 2 * time.Second
+	if sseKeepalivePeriod <= 2*bound {
+		t.Fatalf("keepalive period %v too short for a %v header bound to mean anything", sseKeepalivePeriod, bound)
+	}
+	tracker := NewRunTracker()
+	h := tracker.Start("x", nil)
+	defer h.Finish()
+	srv := httptest.NewServer(NewServer(tracker).Handler())
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*bound)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, "GET", srv.URL+"/runs/x/timeline", nil)
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if d := time.Since(start); d > bound {
+		t.Fatalf("headers took %v, want under %v", d, bound)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "text/event-stream" {
+		t.Fatalf("status %d, Content-Type %q", resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+}
+
 // TestTimelineClientDisconnect checks a dropped client promptly detaches
 // its subscription instead of leaking until the run finishes.
 func TestTimelineClientDisconnect(t *testing.T) {

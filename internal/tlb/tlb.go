@@ -77,66 +77,118 @@ func (s *Stats) MissRate() float64 {
 //nomad:owner core
 //nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type slot struct {
-	e   Entry
-	lru uint64
+	e          Entry
+	prev, next int32 // recency-list neighbours (nilSlot at the ends)
 }
 
+// nilSlot terminates the recency list.
+const nilSlot = -1
+
+// level is one exact-LRU TLB array. Slots are threaded on an intrusive
+// doubly linked recency list (head = most recently used, tail = least);
+// index maps each resident VPN to its slot and free stacks invalidated
+// slots. A lookup hit or a re-insert moves the slot to the head, and a new
+// insert into a full level evicts the tail, so every operation is O(1) and
+// allocation-free once slots has grown. slots grows by append up to cap, so
+// a level costs memory only for the translations it has held.
+//
 //nomad:owner core
 //nomad:ephemeral TLB array working state; divergence surfaces in the registered hit/miss counters
 type level struct {
-	entries map[uint64]*slot
-	cap     int
-	tick    uint64
+	slots      []slot
+	index      map[uint64]int32
+	free       []int32
+	head, tail int32
+	cap        int
 }
 
 func newLevel(capacity int) *level {
-	return &level{entries: make(map[uint64]*slot, capacity), cap: capacity}
+	return &level{index: make(map[uint64]int32, capacity), cap: capacity, head: nilSlot, tail: nilSlot}
 }
 
-func (l *level) lookup(vpn uint64) (*slot, bool) {
-	s, ok := l.entries[vpn]
-	if ok {
-		l.tick++
-		s.lru = l.tick
+// unlink removes slot i from the recency list.
+func (l *level) unlink(i int32) {
+	s := &l.slots[i]
+	if s.prev != nilSlot {
+		l.slots[s.prev].next = s.next
+	} else {
+		l.head = s.next
 	}
-	return s, ok
+	if s.next != nilSlot {
+		l.slots[s.next].prev = s.prev
+	} else {
+		l.tail = s.prev
+	}
+}
+
+// pushFront makes slot i the most recently used.
+func (l *level) pushFront(i int32) {
+	s := &l.slots[i]
+	s.prev, s.next = nilSlot, l.head
+	if l.head != nilSlot {
+		l.slots[l.head].prev = i
+	} else {
+		l.tail = i
+	}
+	l.head = i
+}
+
+func (l *level) touch(i int32) {
+	if l.head != i {
+		l.unlink(i)
+		l.pushFront(i)
+	}
+}
+
+func (l *level) lookup(vpn uint64) (Entry, bool) {
+	i, ok := l.index[vpn]
+	if !ok {
+		return Entry{}, false
+	}
+	l.touch(i)
+	return l.slots[i].e, true
 }
 
 // insert adds e, returning the evicted entry if the level was full.
 func (l *level) insert(e Entry) (Entry, bool) {
-	if s, ok := l.entries[e.VPN]; ok {
-		l.tick++
-		s.e = e
-		s.lru = l.tick
+	if i, ok := l.index[e.VPN]; ok {
+		l.slots[i].e = e
+		l.touch(i)
 		return Entry{}, false
 	}
-	var victim Entry
-	evicted := false
-	if len(l.entries) >= l.cap {
-		var vk uint64
-		oldest := ^uint64(0)
-		for k, s := range l.entries {
-			if s.lru < oldest {
-				oldest = s.lru
-				vk = k
-			}
-		}
-		victim = l.entries[vk].e
-		delete(l.entries, vk)
-		evicted = true
+	var (
+		victim  Entry
+		evicted bool
+		i       int32
+	)
+	switch {
+	case len(l.index) >= l.cap:
+		i = l.tail
+		victim, evicted = l.slots[i].e, true
+		l.unlink(i)
+		delete(l.index, victim.VPN)
+	case len(l.free) > 0:
+		i = l.free[len(l.free)-1]
+		l.free = l.free[:len(l.free)-1]
+	default:
+		i = int32(len(l.slots))
+		l.slots = append(l.slots, slot{})
 	}
-	l.tick++
-	l.entries[e.VPN] = &slot{e: e, lru: l.tick}
+	l.slots[i].e = e
+	l.pushFront(i)
+	l.index[e.VPN] = i
 	return victim, evicted
 }
 
 func (l *level) invalidate(vpn uint64) (Entry, bool) {
-	s, ok := l.entries[vpn]
+	i, ok := l.index[vpn]
 	if !ok {
 		return Entry{}, false
 	}
-	delete(l.entries, vpn)
-	return s.e, true
+	l.unlink(i)
+	delete(l.index, vpn)
+	l.free = append(l.free, i)
+	return l.slots[i].e, true
 }
 
 // TLB is one core's translation state.
@@ -269,14 +321,13 @@ func (t *TLB) RegisterMetrics(reg *metrics.Registry, prefix string) {
 // ideal DC access path), otherwise after the L2 latency or the full walk.
 func (t *TLB) Translate(vaddr uint64, done func(Entry)) {
 	vpn := mem.PageNum(vaddr)
-	if s, ok := t.l1.lookup(vpn); ok {
+	if e, ok := t.l1.lookup(vpn); ok {
 		t.stats.L1Hits++
-		done(s.e)
+		done(e)
 		return
 	}
-	if s, ok := t.l2.lookup(vpn); ok {
+	if e, ok := t.l2.lookup(vpn); ok {
 		t.stats.L2Hits++
-		e := s.e
 		t.insertL1(e)
 		op := t.getHit()
 		op.e = e
@@ -333,6 +384,6 @@ func (t *TLB) Invalidate(vpn uint64) bool {
 
 // Resident reports whether vpn currently has a translation cached.
 func (t *TLB) Resident(vpn uint64) bool {
-	_, ok := t.l2.entries[vpn]
+	_, ok := t.l2.index[vpn]
 	return ok
 }
