@@ -111,15 +111,6 @@ type Config struct {
 	// are byte-identical across engines.
 	Engine EngineKind
 
-	// Workers enables the parallel tick phase: per-core shards tick
-	// concurrently on this many workers (including the coordinating
-	// goroutine), with cross-domain effects deferred to a per-cycle barrier
-	// and replayed deterministically. 0 or 1 runs fully sequentially.
-	// Results are byte-identical at every worker count; the knob trades
-	// host CPUs for wall-clock speed on multi-core configurations. The
-	// CLIs expose it as -parallel.
-	Workers int
-
 	// NoFastForward disables the engine's idle-cycle fast-forward (on by
 	// default), forcing every cycle to be stepped individually. Results
 	// are byte-identical either way; the switch exists for debugging and
@@ -188,9 +179,6 @@ func (c Config) Validate() *Error {
 	}
 	if c.Cores < 0 {
 		return c.validationError("negative core count %d", c.Cores)
-	}
-	if c.Workers < 0 {
-		return c.validationError("negative worker count %d", c.Workers)
 	}
 	if c.PCSHRs < 0 {
 		return c.validationError("negative PCSHR count %d", c.PCSHRs)
@@ -305,6 +293,5 @@ func (c Config) toInternal() system.Config {
 	if cfg.Engine == "" {
 		cfg.Engine = sim.KindWheel
 	}
-	cfg.Workers = c.Workers
 	return cfg
 }

@@ -174,8 +174,10 @@ type Cache struct {
 	spans    *metrics.SpanRing
 	spanKind metrics.SpanKind
 
-	setMask  uint64
-	setShift uint
+	setMask uint64
+	// setBits is log2(Sets): the width of the set index, so the tag is
+	// the block number shifted right by it.
+	setBits uint
 }
 
 type pendingAccess struct {
@@ -205,7 +207,7 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 		mshrActiveIdx: make([]int32, 0, cfg.MSHRs),
 		mshrFreeIdx:   make([]int32, 0, cfg.MSHRs),
 		setMask:       uint64(cfg.Sets - 1),
-		setShift:      mem.BlockBits,
+		setBits:       uint(bits.TrailingZeros64(uint64(cfg.Sets))),
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -218,7 +220,6 @@ func New(eng *sim.Engine, cfg Config, lower Lower) *Cache {
 		m.fillFn = func() { c.fill(m) }
 		c.mshrFreeIdx = append(c.mshrFreeIdx, int32(i))
 	}
-	_ = bits.UintSize // keep math/bits for future geometry checks
 	return c
 }
 
@@ -276,9 +277,7 @@ func (c *Cache) SetSpans(spans *metrics.SpanRing, kind metrics.SpanKind) {
 func (c *Cache) Config() Config { return c.cfg }
 
 func (c *Cache) setIndex(block uint64) uint64 { return block & c.setMask }
-func (c *Cache) tagOf(block uint64) uint64 {
-	return block >> uint(bits.TrailingZeros64(uint64(c.cfg.Sets)))
-}
+func (c *Cache) tagOf(block uint64) uint64    { return block >> c.setBits }
 
 // Access performs a cache access for req (block-aligned internally). done is
 // invoked when the access completes at this level.
@@ -350,7 +349,7 @@ func (c *Cache) miss(req mem.Request, block uint64, done mem.Done, retried bool)
 	if n == 0 {
 		c.stats.MSHRStalls++
 		if req.Probe != nil {
-			req.Probe.Cause = mem.StallMSHR
+			req.Probe.SetCause(mem.StallMSHR)
 		}
 		c.pending = append(c.pending, pendingAccess{req: req, done: done})
 		return
@@ -407,7 +406,7 @@ func (c *Cache) fill(m *mshr) {
 	if !found && vtag != invalidTag && v.dirty {
 		c.stats.Writebacks++
 		// Reconstruct the victim's block address from tag and set.
-		vblock := vtag<<uint(bits.TrailingZeros64(uint64(c.cfg.Sets))) | setIdx
+		vblock := vtag<<c.setBits | setIdx
 		c.wbReq = mem.Request{
 			Addr:  vblock << mem.BlockBits,
 			Write: true,

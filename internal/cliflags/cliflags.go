@@ -49,9 +49,6 @@ type Common struct {
 	// Engine names the event-queue implementation (-engine): "" or
 	// "wheel" for the timing wheel, "heap" for the binary-heap oracle.
 	Engine string
-	// Parallel is each run's tick-phase worker count (-parallel); 0 or 1
-	// runs sequentially. Results are byte-identical at every worker count.
-	Parallel int
 	// Format selects the output rendering (-format); each CLI validates
 	// it against its supported set with CheckFormat.
 	Format string
@@ -77,7 +74,6 @@ func Register(fs *flag.FlagSet) *Common {
 	fs.BoolVar(&c.Profile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
 	fs.BoolVar(&c.NoFF, "no-ff", false, "disable idle-cycle fast-forward (results are byte-identical either way)")
 	fs.StringVar(&c.Engine, "engine", "", "event-queue implementation: wheel (default) or heap (the differential-testing oracle)")
-	fs.IntVar(&c.Parallel, "parallel", 0, "tick-phase workers per run (0 or 1 = sequential; results are byte-identical at any count)")
 	fs.StringVar(&c.Format, "format", "text", "output format")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. :6060) while running")
 	fs.StringVar(&c.HTTP, "http", "", "serve live introspection on this address (e.g. :6060): /metrics, /runs, /runs/{key}/timeline, /debug/pprof")
@@ -91,9 +87,6 @@ func Register(fs *flag.FlagSet) *Common {
 func (c *Common) Check(formats ...string) error {
 	if _, err := sim.NewScheduler(sim.Kind(c.Engine)); err != nil {
 		return fmt.Errorf("-engine %q: use %q or %q", c.Engine, sim.KindWheel, sim.KindHeap)
-	}
-	if c.Parallel < 0 {
-		return fmt.Errorf("-parallel %d: worker count cannot be negative", c.Parallel)
 	}
 	if c.HTTP != "" {
 		if _, _, err := net.SplitHostPort(c.HTTP); err != nil {
@@ -135,7 +128,6 @@ func (c *Common) ApplySystem(cfg *system.Config) {
 	cfg.SelfProfile = c.Profile
 	cfg.FastForward = !c.NoFF
 	cfg.Engine = c.Kind()
-	cfg.Workers = c.Parallel
 }
 
 // ApplyOptions writes the shared knobs into harness.Options
@@ -152,7 +144,6 @@ func (c *Common) ApplyOptions(o *harness.Options) {
 	o.SelfProfile = c.Profile
 	o.NoFastForward = c.NoFF
 	o.Engine = c.Kind()
-	o.Workers = c.Parallel
 }
 
 // Logger builds the host-side structured logger writing to w in the

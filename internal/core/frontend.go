@@ -320,7 +320,7 @@ func (f *Frontend) Manager() *osmem.Manager { return f.mm }
 // Walk implements tlb.Walker: the page-table walk plus, for cacheable
 // uncached pages, DC tag miss handling.
 //
-//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate; becomes a cross-shard request
+//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate
 func (f *Frontend) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
 	op := f.getWalk()
 	op.coreID = coreID

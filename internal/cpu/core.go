@@ -16,6 +16,11 @@
 // (program order), so the per-cycle work and allocation are independent of
 // instruction count.
 //
+// Dormancy: a core whose next ticks could only charge stall cycles (it is
+// OS-suspended, or its ROB head waits on a miss and nothing can be inserted)
+// sleeps on the engine until an event gives it work, and charges the slept
+// span in bulk when it wakes or is settled (see Attach).
+//
 // Stall accounting distinguishes:
 //   - OSBlocked: cycles the thread is suspended by an OS routine (the
 //     paper's "application stall cycles", Fig. 11);
@@ -28,14 +33,15 @@ import (
 	"nomad/internal/check"
 	"nomad/internal/mem"
 	"nomad/internal/metrics"
+	"nomad/internal/sim"
 	"nomad/internal/workload"
 )
 
 // MemPort is the core's path into the memory system. Load's done callback
 // fires when data is available; Store is fire-and-forget (store buffer).
-// p is the load's latency-provenance probe: the memory system updates
-// p.Cause as the access moves (so head-of-ROB stall cycles are charged to
-// the component currently holding the load) and emits spans tagged p.SpanID
+// p is the load's latency-provenance probe: the memory system sets its
+// cause as the access moves (so head-of-ROB stall cycles are charged to the
+// component currently holding the load) and emits spans tagged p.SpanID
 // when the load was sampled. The pointer stays valid until done fires.
 type MemPort interface {
 	Load(core int, vaddr uint64, p *mem.Probe, done func())
@@ -154,7 +160,24 @@ type Core struct {
 	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
 	sampleEvery uint64
 	//nomad:ephemeral ROB and load-queue working state; divergence surfaces in the registered instruction and stall counters
-	nowCycle uint64 // current cycle, visible to load-done closures
+	nowCycle uint64 // last cycle ticked (or settled), visible to load-done closures
+
+	// Dormancy (see Attach). eng and tid are the engine the core sleeps on
+	// and its ticker id; a core with no engine never sleeps. While asleep
+	// the cycles from sleptFrom on are owed to the stall bucket the core
+	// fell asleep in; catchUp charges them. watched is the head load's
+	// probe while asleep on it, armed with settleFn.
+	//nomad:ephemeral engine wiring, set once by Attach; a wrong binding shows as diverging stall counters
+	eng *sim.Engine
+	//nomad:ephemeral engine wiring, set once by Attach; a wrong binding shows as diverging stall counters
+	tid int
+	//nomad:ephemeral sleep state; the slept span is charged to the registered stall counters
+	asleep bool
+	//nomad:ephemeral sleep state; the slept span is charged to the registered stall counters
+	sleptFrom uint64
+	//nomad:ephemeral sleep state; the slept span is charged to the registered stall counters
+	watched  *mem.Probe
+	settleFn func()
 
 	stats Stats
 }
@@ -171,9 +194,11 @@ func New(id int, cfg Config, port MemPort, wl *workload.Stream) *Core {
 		wl:    wl,
 		loads: make([]loadSlot, cfg.ROBSize),
 	}
+	c.settleFn = func() { c.catchUp(c.eng.TickedThrough(c.tid)) }
 	for i := range c.loads {
 		slot := &c.loads[i]
 		slot.doneFn = func() {
+			c.wake()
 			slot.done = true
 			c.inFlight--
 			if slot.probe.SpanID != 0 {
@@ -190,7 +215,15 @@ func New(id int, cfg Config, port MemPort, wl *workload.Stream) *Core {
 	return c
 }
 
-// Stats returns the core's counters.
+// Attach registers the core as a ticker of eng and lets it sleep there.
+func (c *Core) Attach(eng *sim.Engine) {
+	c.eng = eng
+	c.tid = eng.AddTicker(c)
+}
+
+// Stats returns the core's counters. While the core sleeps, they are exact
+// only after the engine settles it (at every hook and when Run/RunUntil
+// return).
 func (c *Core) Stats() *Stats { return &c.stats }
 
 // SetSpanTracing samples 1 in every loads into the ring: the k-th load is
@@ -207,8 +240,9 @@ func (c *Core) SetSpanTracing(spans *metrics.SpanRing, every uint64) {
 // Block suspends the thread until a matching Unblock (OS routine of unknown
 // duration, e.g. a TDC page copy). Calls nest.
 //
-//nomad:port thread scheduling: the channel-side OS engine suspends a core; becomes a core-shard control message
+//nomad:port thread scheduling: the channel-side OS engine suspends a core
 func (c *Core) Block() {
+	c.wake()
 	if c.blockCount == 0 {
 		c.stats.OSBlockEvents++
 	}
@@ -218,6 +252,7 @@ func (c *Core) Block() {
 // BlockFor suspends the thread for a fixed number of cycles from now (e.g.
 // NOMAD's tag-management latency). now is the current cycle.
 func (c *Core) BlockFor(now, cycles uint64) {
+	c.wake()
 	until := now + cycles
 	if !c.Blocked() {
 		c.stats.OSBlockEvents++
@@ -229,11 +264,12 @@ func (c *Core) BlockFor(now, cycles uint64) {
 
 // Unblock undoes one Block.
 //
-//nomad:port thread scheduling: the channel-side OS engine resumes a core; becomes a core-shard control message
+//nomad:port thread scheduling: the channel-side OS engine resumes a core
 func (c *Core) Unblock() {
 	if c.blockCount == 0 {
 		panic("cpu: Unblock without Block")
 	}
+	c.wake()
 	c.blockCount--
 }
 
@@ -245,11 +281,17 @@ func (c *Core) OutstandingLoads() int { return c.inFlight }
 
 // Tick advances the core one cycle.
 func (c *Core) Tick(now uint64) {
+	if c.asleep {
+		// The engine's timer woke the core: settle the slept span.
+		c.catchUp(now - 1)
+		c.rouse()
+	}
 	c.stats.Cycles++
 	c.nowCycle = now
 
 	if c.blockCount > 0 || now < c.blockedUntil {
 		c.stats.OSBlockedCycles++
+		c.sleep(now)
 		return
 	}
 
@@ -325,7 +367,7 @@ func (c *Core) Tick(now uint64) {
 			slot.pos = c.insertSeq
 			slot.done = false
 			slot.start = now
-			slot.probe = mem.Probe{Core: int32(c.ID), Cause: mem.StallSRAM}
+			slot.probe = mem.Probe{Core: int32(c.ID)} // cause StallSRAM
 			if c.sampleEvery > 0 && (c.stats.Loads-1)%c.sampleEvery == 0 {
 				// SpanID packs (core, load sequence) so IDs are unique
 				// across cores and stable across same-seed runs.
@@ -351,78 +393,115 @@ func (c *Core) Tick(now uint64) {
 		case headBlocked:
 			c.stats.MemStallCycles++
 			// Charge the cause the head load is waiting on right now —
-			// the memory system keeps probe.Cause current as the access
-			// moves, so the CPI stack attributes each stalled cycle to
-			// the component actually holding the data.
-			c.stats.MemStallByCause[c.loads[c.loadHead].probe.Cause]++
+			// the memory system keeps the probe's cause current as the
+			// access moves, so the CPI stack attributes each stalled cycle
+			// to the component actually holding the data.
+			c.stats.MemStallByCause[c.loads[c.loadHead].probe.Cause()]++
+			if inserted == 0 {
+				c.sleep(now)
+			}
 		case inserted == 0:
 			c.stats.FrontStallCycles++
 		}
 	}
 }
 
-// noWork mirrors sim.NoWork ("only an event can wake me"); the cpu package
-// satisfies sim.FastForwarder structurally, without importing sim.
-const noWork = ^uint64(0)
-
-// NextWork implements the fast-forward half of the sim.FastForwarder
-// protocol: it reports the earliest cycle after now at which Tick could do
-// anything beyond charging one stall cycle, assuming no event (load
-// completion, OS unblock) runs in between. The engine separately bounds
-// jumps by the event heap, so "the head load's data returns" and "an OS
-// routine unblocks the thread" never need to be predicted here.
-func (c *Core) NextWork(now uint64) uint64 {
+// nextWork reports the earliest cycle after a pure-stall tick at now at
+// which Tick could do anything beyond charging one stall cycle, assuming
+// nothing wakes the core in between; sim.NoWork means only a wake (load
+// completion, OS unblock) can.
+func (c *Core) nextWork(now uint64) uint64 {
 	if c.blockCount > 0 {
-		// Indefinitely OS-suspended: only an Unblock event resumes it.
-		return noWork
+		// Indefinitely OS-suspended: only an Unblock resumes it.
+		return sim.NoWork
 	}
-	if c.blockedUntil > now+1 {
+	if c.blockedUntil > now {
 		// Fixed-duration suspension: pure OSBlocked cycles until then.
 		return c.blockedUntil
 	}
-	if c.blockedUntil > now {
-		return now + 1 // resumes next cycle
-	}
-	// Runnable. The next Tick is a pure head-of-ROB stall iff it can
-	// neither retire (head is an incomplete load at retireSeq) nor insert
-	// (ROB full, or a load stuck behind the outstanding-load cap with no
-	// gap instructions or fetch available). Every condition below can only
-	// change through an event, so a quiescent verdict holds until one runs.
-	if c.insertSeq == c.retireSeq {
-		return now + 1 // empty window: Tick would fetch and insert
-	}
-	if c.loadCount == 0 {
-		return now + 1 // non-load instructions retire
-	}
-	if h := &c.loads[c.loadHead]; h.done || h.pos != c.retireSeq {
-		return now + 1 // head retires, or instructions before it do
-	}
+	// Runnable, and the head load blocked retirement. The next Tick is a
+	// pure stall iff it also cannot insert: ROB full, or a load stuck
+	// behind the outstanding-load cap with no gap instructions or fetch
+	// available. Each condition changes only through a wake point.
 	if c.insertSeq-c.retireSeq >= uint64(c.cfg.ROBSize) {
-		return noWork // retire blocked and ROB full: nothing can move
+		return sim.NoWork
 	}
 	if c.gapLeft > 0 || c.memOp == nil || c.memOp.Write || c.inFlight < c.cfg.MaxLoads {
 		return now + 1 // Tick would insert or fetch
 	}
-	return noWork // retire blocked, insert stuck on the load cap
+	return sim.NoWork
 }
 
-// SkipCycles bulk-accounts n skipped cycles (now+1 .. now+n). The engine
-// guarantees the span is uniform — it never extends past blockedUntil, a
-// scheduled event, or any cycle NextWork flagged — so the whole span
-// charges the bucket the first skipped cycle would have: OSBlockedCycles
-// while suspended, otherwise MemStallCycles under the head load's current
-// stall cause (unchanged across the span, since only events move it).
-func (c *Core) SkipCycles(now, n uint64) {
+// sleep puts the core to sleep after a pure-stall tick at now, if its next
+// work is more than a cycle away. Asleep on the head load, it watches that
+// load's probe so a cause change settles the span charged so far.
+func (c *Core) sleep(now uint64) {
+	if c.eng == nil {
+		return
+	}
+	until := c.nextWork(now)
+	if until <= now+1 || !c.eng.Sleep(c.tid, until) {
+		return
+	}
+	c.asleep = true
+	c.sleptFrom = now + 1
+	if c.blockCount == 0 && c.blockedUntil <= now {
+		c.watched = &c.loads[c.loadHead].probe
+		c.watched.Watch(c.settleFn)
+	}
+}
+
+// wake ends a sleep early, charging the slept span first; every change to
+// the state that picked the span's stall bucket (a load completing, Block,
+// BlockFor, Unblock) calls it before making the change.
+func (c *Core) wake() {
+	if !c.asleep {
+		return
+	}
+	c.catchUp(c.eng.TickedThrough(c.tid))
+	c.rouse()
+	c.eng.Wake(c.tid)
+}
+
+// rouse clears the sleep state.
+func (c *Core) rouse() {
+	c.asleep = false
+	if c.watched != nil {
+		c.watched.Watch(nil)
+		c.watched = nil
+	}
+}
+
+// catchUp charges the slept cycles sleptFrom..through to the bucket every
+// one of their Ticks would have charged: OSBlockedCycles while suspended,
+// otherwise MemStallCycles under the head load's current stall cause (a
+// cause change settles first, through the watched probe).
+func (c *Core) catchUp(through uint64) {
+	if through < c.sleptFrom {
+		return
+	}
+	n := through - c.sleptFrom + 1
+	osBlocked := c.blockCount > 0 || c.sleptFrom < c.blockedUntil
+	c.sleptFrom = through + 1
+	c.nowCycle = through
 	c.stats.Cycles += n
-	if c.blockCount > 0 || now+1 < c.blockedUntil {
+	if osBlocked {
 		c.stats.OSBlockedCycles += n
 		return
 	}
 	if check.Enabled {
-		check.Assert(c.loadCount > 0 && !c.loads[c.loadHead].done &&
-			c.loads[c.loadHead].pos == c.retireSeq,
-			"cpu %d: skipping %d cycles at %d without a head-of-ROB stall", c.ID, n, now)
+		h := &c.loads[c.loadHead]
+		check.Assert(c.loadCount > 0 && !h.done && h.pos == c.retireSeq,
+			"cpu %d: charging %d slept cycles through %d without a head-of-ROB stall", c.ID, n, through)
 	}
 	c.stats.MemStallCycles += n
-	c.stats.MemStallByCause[c.loads[c.loadHead].probe.Cause] += n
+	c.stats.MemStallByCause[c.loads[c.loadHead].probe.Cause()] += n
+}
+
+// Settle implements sim.Settler: it charges the cycles slept so far,
+// through the given cycle.
+func (c *Core) Settle(through uint64) {
+	if c.asleep {
+		c.catchUp(through)
+	}
 }

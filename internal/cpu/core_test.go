@@ -22,12 +22,48 @@ type fakePort struct {
 	// cause, when not StallSRAM, is written into every load's probe
 	// (exercises per-cause stall attribution).
 	cause mem.StallCause
+	// midCause, when not StallSRAM, replaces the cause halfway through
+	// every load: from an event, or at tick time through changer when set.
+	midCause mem.StallCause
+	changer  *causeTicker
+}
+
+// causeTicker rewrites load causes at tick time, as the DRAM devices do
+// when they issue a queued burst.
+type causeTicker struct {
+	due []causeChange
+}
+
+type causeChange struct {
+	at    uint64
+	probe *mem.Probe
+	cause mem.StallCause
+}
+
+func (t *causeTicker) Tick(now uint64) {
+	kept := t.due[:0]
+	for _, ch := range t.due {
+		if ch.at == now {
+			ch.probe.SetCause(ch.cause)
+		} else {
+			kept = append(kept, ch)
+		}
+	}
+	t.due = kept
 }
 
 func (p *fakePort) Load(core int, vaddr uint64, probe *mem.Probe, done func()) {
 	p.loads++
 	if probe != nil && p.cause != mem.StallSRAM {
-		probe.Cause = p.cause
+		probe.SetCause(p.cause)
+	}
+	if p.midCause != mem.StallSRAM {
+		at := p.eng.Now() + p.delay/2
+		if p.changer != nil {
+			p.changer.due = append(p.changer.due, causeChange{at: at, probe: probe, cause: p.midCause})
+		} else {
+			p.eng.At(at, func() { probe.SetCause(p.midCause) })
+		}
 	}
 	p.outstanding++
 	if p.outstanding > p.maxConcurrent {
@@ -53,7 +89,7 @@ func stream(gap int, writeFrac float64) *workload.Stream {
 func newCore(eng *sim.Engine, cfg Config, wl *workload.Stream, delay uint64) (*Core, *fakePort) {
 	p := &fakePort{eng: eng, delay: delay}
 	c := New(0, cfg, p, wl)
-	eng.AddTicker(c)
+	c.Attach(eng)
 	return c, p
 }
 
@@ -280,10 +316,18 @@ func TestDefaultConfigValues(t *testing.T) {
 }
 
 // TestFastForwardStatsEquivalence runs identical core workloads with
-// fast-forward on and off and requires every statistic — including the
-// per-cause stall breakdown that SkipCycles must bulk-charge — to match
-// exactly.
+// dormancy on and off and requires every statistic — including the
+// per-cause stall breakdown a sleeping core charges in bulk — to match
+// exactly. The cause-change cases move the head load's cause while the core
+// sleeps on it: from an event, and at tick time from a ticker registered
+// before the core (its slept span settles through the previous cycle) or
+// after it (through the current one).
 func TestFastForwardStatsEquivalence(t *testing.T) {
+	const (
+		byEvent = iota + 1
+		byEarlierTicker
+		byLaterTicker
+	)
 	cases := []struct {
 		name      string
 		gap       int
@@ -291,18 +335,35 @@ func TestFastForwardStatsEquivalence(t *testing.T) {
 		delay     uint64
 		cause     mem.StallCause
 		block     bool
+		changeBy  int
 	}{
 		{name: "memory-bound", gap: 0, delay: 100, cause: mem.StallDRAMQueue},
 		{name: "compute-bound", gap: 1000, delay: 1},
 		{name: "mixed", gap: 10, writeFrac: 0.3, delay: 50, cause: mem.StallPCSHR},
 		{name: "blocked", gap: 10, delay: 10, block: true},
+		{name: "cause change from an event", gap: 0, delay: 101, cause: mem.StallDRAMQueue, changeBy: byEvent},
+		{name: "cause change from an earlier ticker", gap: 0, delay: 101, cause: mem.StallDRAMQueue, changeBy: byEarlierTicker},
+		{name: "cause change from a later ticker", gap: 0, delay: 101, cause: mem.StallDRAMQueue, changeBy: byLaterTicker},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func(ff bool) *Stats {
 				eng := sim.New()
 				eng.SetFastForward(ff)
+				changer := &causeTicker{}
+				if tc.changeBy == byEarlierTicker {
+					eng.AddTicker(changer)
+				}
 				c, p := newCore(eng, Config{Width: 4, ROBSize: 64, MaxLoads: 4}, stream(tc.gap, tc.writeFrac), tc.delay)
+				if tc.changeBy == byLaterTicker {
+					eng.AddTicker(changer)
+				}
+				if tc.changeBy != 0 {
+					p.midCause = mem.StallBus
+				}
+				if tc.changeBy == byEarlierTicker || tc.changeBy == byLaterTicker {
+					p.changer = changer
+				}
 				p.cause = tc.cause
 				if tc.block {
 					eng.Run(100)
@@ -312,6 +373,9 @@ func TestFastForwardStatsEquivalence(t *testing.T) {
 				return c.Stats()
 			}
 			on, off := run(true), run(false)
+			if tc.changeBy != 0 && (on.MemStallByCause[mem.StallBus] == 0 || on.MemStallByCause[mem.StallDRAMQueue] == 0) {
+				t.Fatalf("no stall cycles on one side of the cause change: %v", on.MemStallByCause)
+			}
 			if !reflect.DeepEqual(on, off) {
 				t.Fatalf("stats diverge:\n  ff on:  %+v\n  ff off: %+v", on, off)
 			}

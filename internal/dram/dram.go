@@ -174,7 +174,8 @@ type channel struct {
 }
 
 // Device is one DRAM device instance bound to a simulation engine. It
-// registers itself as a ticker; callers enqueue requests with Access.
+// registers itself as a ticker that sleeps whenever its queues hold nothing
+// it can issue; callers enqueue requests with Access.
 //
 //nomad:owner channel
 type Device struct {
@@ -196,6 +197,9 @@ type Device struct {
 	// waiting (the common cycle: in-flight bursts complete via events).
 	//nomad:ephemeral DRAM device wiring and timing state; divergence surfaces in the registered channel counters
 	queued int
+	// tid is the device's engine ticker id (Sleep/Wake).
+	//nomad:ephemeral engine ticker id, fixed at registration; a wrong id shows as stalled channel counters
+	tid int
 
 	// free is the request freelist. The device is single-threaded (engine
 	// discipline), so a plain slice beats sync.Pool and is deterministic.
@@ -223,6 +227,9 @@ func (d *Device) getRequest() *request {
 // was copied out first.
 func (d *Device) complete(r *request) {
 	r.ch.inflight--
+	if d.queued > 0 {
+		d.eng.Wake(d.tid)
+	}
 	done, comp, arg := r.done, r.comp, r.arg
 	r.done, r.comp, r.probe, r.ch = nil, nil, nil, nil
 	d.free = append(d.free, r)
@@ -257,7 +264,7 @@ func New(eng *sim.Engine, cfg Config) *Device {
 			d.chans[i].banks[b].openRow = -1
 		}
 	}
-	eng.AddTicker(d)
+	d.tid = eng.AddTicker(d)
 	return d
 }
 
@@ -358,7 +365,7 @@ func (d *Device) AccessArg(addr uint64, write bool, kind mem.Kind, priority bool
 func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, priority bool) {
 	ch, bk, row := d.mapAddr(addr)
 	if r.probe != nil {
-		r.probe.Cause = mem.StallDRAMQueue
+		r.probe.SetCause(mem.StallDRAMQueue)
 	}
 	r.addr, r.write, r.kind, r.priority = addr, write, kind, priority
 	r.arrival = d.eng.Now()
@@ -369,6 +376,7 @@ func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, pri
 	}
 	c.queue = append(c.queue, r)
 	d.queued++
+	d.eng.Wake(d.tid)
 }
 
 // QueueLen returns the current queue length of channel ch (for tests and
@@ -392,41 +400,21 @@ func (d *Device) Promote(addr uint64) bool {
 	return false
 }
 
-// Tick drives every channel scheduler one cycle.
+// Tick drives every channel scheduler one cycle, then puts the device to
+// sleep: afterwards every channel has either an empty queue or a full
+// in-flight window, so only enqueue (new traffic) or complete (a freed
+// in-flight slot) can give it work, and both wake it. Bus and bank
+// occupancy are absolute cycle stamps (busFreeAt/readyAt) and every counter
+// is charged at issue, so a sleeping device owes nothing for the cycles it
+// skips.
 func (d *Device) Tick(now uint64) {
-	if d.queued == 0 {
-		return
-	}
-	for i := range d.chans {
-		d.tickChannel(&d.chans[i], now)
-	}
-}
-
-// NextWork implements sim.FastForwarder: a channel scheduler has work at
-// now+1 only when it holds queued requests and a free inflight slot —
-// everything else it is waiting for (a completion freeing an inflight slot,
-// new traffic from an event or a core tick) arrives through the event heap
-// or another ticker, both of which bound the engine's jumps. Bus and bank
-// occupancy are carried as absolute cycle stamps (busFreeAt/readyAt), not
-// per-cycle state, so an idle-until channel needs no per-cycle ticks.
-func (d *Device) NextWork(now uint64) uint64 {
-	if d.queued == 0 {
-		return sim.NoWork
-	}
-	for i := range d.chans {
-		c := &d.chans[i]
-		if len(c.queue) > 0 && c.inflight < d.cfg.InflightPerChannel {
-			return now + 1
+	if d.queued > 0 {
+		for i := range d.chans {
+			d.tickChannel(&d.chans[i], now)
 		}
 	}
-	return sim.NoWork
+	d.eng.Sleep(d.tid, sim.NoWork)
 }
-
-// SkipCycles implements sim.FastForwarder. Nothing accrues per idle cycle:
-// BusBusyCycles and every other counter are charged in bulk at issue time
-// (issue reserves the whole TBL bus window at once), so skipped ticks are
-// accounting no-ops by construction.
-func (d *Device) SkipCycles(now, n uint64) {}
 
 func (d *Device) tickChannel(c *channel, now uint64) {
 	for c.inflight < d.cfg.InflightPerChannel && len(c.queue) > 0 {
@@ -507,11 +495,11 @@ func (d *Device) issue(c *channel, r *request, now uint64) {
 	if r.probe != nil {
 		switch {
 		case conflict:
-			r.probe.Cause = mem.StallRowConflict
+			r.probe.SetCause(mem.StallRowConflict)
 		case busWait:
-			r.probe.Cause = mem.StallBus
+			r.probe.SetCause(mem.StallBus)
 		default:
-			r.probe.Cause = mem.StallDRAMService
+			r.probe.SetCause(mem.StallDRAMService)
 		}
 	}
 	c.busFreeAt = dataEnd

@@ -13,10 +13,13 @@ import (
 //	//nomad:port <reason>                     on a function/method doc comment
 //	//nomad:ephemeral <reason>                on a struct or field doc comment
 //
-// The owner annotation assigns every mutable model struct to the shard
-// domain that will own it in the parallel engine; ports are the audited
-// mediation sites where one domain may legitimately reach into another;
-// ephemeral marks state that deliberately stays outside digest coverage.
+// The owner annotation assigns every mutable model struct to the domain
+// that owns it (a core, a DRAM channel, state shared between them, or the
+// host); ports are the audited mediation sites where one domain may
+// legitimately reach into another; ephemeral marks state that deliberately
+// stays outside digest coverage. Keeping every cross-domain effect on a
+// named, inventoried path is what keeps event order — the determinism
+// contract — reviewable.
 const (
 	ownerMarker = "//nomad:owner"
 	portMarker  = "//nomad:port"

@@ -43,8 +43,8 @@ func shut(f *file) { closeFile(f) }
 }
 
 func TestConcurrencyAllowFiles(t *testing.T) {
-	// A file on the ConcurrencyAllowFiles list (the parallel engine) may
-	// launch goroutines; the ban stays in force for every other model file.
+	// A file on the ConcurrencyAllowFiles list may launch goroutines; the
+	// ban stays in force for every other model file.
 	src := `package model
 
 func spawn(work func()) {
@@ -59,11 +59,11 @@ func spawn(work func()) {
 	wantDiags(t, lintSnippet(t, src, cfg, nil), [2]any{"concurrency", 4})
 }
 
-func TestConcurrencyDefaultAllowsParallelEngine(t *testing.T) {
-	// The repo's own config sanctions exactly internal/sim/parallel.go.
+func TestConcurrencyDefaultExemptsNoFile(t *testing.T) {
+	// The repo's own config keeps every model file under the goroutine ban.
 	cfg := DefaultConfig()
-	if !cfg.concurrencyAllowed("/work/repo/internal/sim/parallel.go") {
-		t.Error("internal/sim/parallel.go not exempt from the concurrency rule")
+	if len(cfg.ConcurrencyAllowFiles) != 0 {
+		t.Errorf("default config exempts %v from the concurrency rule", cfg.ConcurrencyAllowFiles)
 	}
 	if cfg.concurrencyAllowed("/work/repo/internal/sim/engine.go") {
 		t.Error("internal/sim/engine.go must stay under the goroutine ban")

@@ -46,11 +46,9 @@ type Config struct {
 	// knowingly read host state and are documented as non-deterministic.
 	AllowFiles []string
 	// ConcurrencyAllowFiles exempts individual files (same suffix matching
-	// as AllowFiles) from the concurrency rule. The goroutine ban stays in
-	// force for every other model file: the single default entry is the
-	// parallel engine itself, whose worker pool synchronizes exclusively
-	// through its barrier atomics and is proven byte-identical to the
-	// sequential engine by the equivalence tests.
+	// as AllowFiles) from the concurrency rule; the goroutine ban stays in
+	// force for every other model file. The repository's own contract
+	// exempts none: the simulator is single-threaded.
 	ConcurrencyAllowFiles []string
 	// Rules restricts the run to a subset of RuleNames; empty means all.
 	Rules []string
@@ -60,7 +58,7 @@ type Config struct {
 	MetricInventory []string
 	// OwnershipPackages are the import-path suffixes where the
 	// interprocedural ownership and state-coverage rules apply: the model
-	// packages holding shardable simulation state (internal/metrics is model
+	// packages holding domain-owned simulation state (internal/metrics is model
 	// scope for the syntactic rules but hosts the observability machinery,
 	// so it is not ownership scope). Empty disables both rules.
 	OwnershipPackages []string
@@ -90,8 +88,7 @@ func DefaultConfig() Config {
 			"internal/system",
 			"internal/metrics",
 		},
-		AllowFiles:            []string{"internal/metrics/hostprof.go"},
-		ConcurrencyAllowFiles: []string{"internal/sim/parallel.go"},
+		AllowFiles: []string{"internal/metrics/hostprof.go"},
 		OwnershipPackages: []string{
 			"internal/sim",
 			"internal/mem",

@@ -11,8 +11,8 @@ import (
 // writeAllow is the domain write matrix: which domains may write state owned
 // by each domain without going through a port. host may touch anything it
 // owns plus shared (setup and reporting run at barriers); shared state is
-// mediated by design (carriers, scheduler, orchestrator — merged at shard
-// barriers); core and channel state is writable only by its own domain and
+// mediated by design (carriers, scheduler, orchestrator); core and channel
+// state is writable only by its own domain and
 // by host-phase code.
 var writeAllow = map[uint8]uint8{
 	domCore:    domCore | domHost,
@@ -198,8 +198,8 @@ func checkOwnership(mod *Module, cfg *Config, ann *annotations, cg *callGraph, a
 	}
 
 	// (d) pooled carriers must not be retained across a domain boundary:
-	// a shard recycling an object another shard still points at is the
-	// aliasing bug class that breaks a sharded engine silently.
+	// one domain recycling an object another still points at is an
+	// aliasing bug that corrupts in-flight state silently.
 	pooled := ann.pooled
 	for _, w := range acc.writes {
 		if w.field == "" || w.node == nil {

@@ -175,10 +175,12 @@ func (c StallCause) String() string {
 }
 
 // Probe is the latency-provenance tag of one load: the memory system updates
-// Cause as the request moves between components (live, every load), and
+// its cause as the request moves between components (live, every load), and
 // SpanID marks the 1-in-N sampled loads whose per-hop spans are recorded.
-// The issuing core allocates one Probe per in-flight load and reads Cause
-// each cycle the load blocks retirement.
+// The issuing core allocates one Probe per in-flight load and charges each
+// cycle the load blocks retirement to its current cause. Every cause change
+// goes through SetCause, so a core that charges stalled cycles in bulk can
+// watch its head load's probe and settle before the cause moves.
 //
 //nomad:owner shared
 //nomad:ephemeral request descriptor payload; consumed and counted by the receiving engine
@@ -189,9 +191,27 @@ type Probe struct {
 	// Core is the issuing core (for span records emitted by shared
 	// components that do not otherwise know it).
 	Core int32
-	// Cause is the component currently responsible for the load's latency.
-	Cause StallCause
+	// cause is the component currently responsible for the load's latency
+	// (the zero value, StallSRAM, at issue).
+	cause StallCause
+	// watch, when set, runs just before cause changes.
+	watch func()
 }
+
+// Cause returns the component currently responsible for the load's latency.
+func (p *Probe) Cause() StallCause { return p.cause }
+
+// SetCause records that component c now holds the load, first running the
+// watch hook if the cause changes.
+func (p *Probe) SetCause(c StallCause) {
+	if c != p.cause && p.watch != nil {
+		p.watch()
+	}
+	p.cause = c
+}
+
+// Watch arms fn to run before every cause change; nil disarms it.
+func (p *Probe) Watch(fn func()) { p.watch = fn }
 
 // Request is a single memory access. One Request flows from the core through
 // the SRAM hierarchy; below the LLC the scheme may spawn further Requests
@@ -215,7 +235,7 @@ type Request struct {
 	// (used for DC access-time accounting).
 	Issue uint64
 	// Probe, when non-nil, is the originating load's latency-provenance
-	// tag: components update Probe.Cause as they take ownership of the
+	// tag: components set its cause as they take ownership of the
 	// request. Generated traffic (fills, writebacks, metadata) carries nil.
 	Probe *Probe
 }

@@ -31,9 +31,8 @@ import (
 // cache (ROADMAP: simulation-as-a-service) stores results under.
 //
 // Host-only knobs that provably do not change results are excluded from the
-// hash: Engine, FastForward, and Workers (byte-identity across engines,
-// fast-forward modes, and parallel worker counts is the engine's
-// load-bearing contract) and SelfProfile (host profiling never touches the
+// hash: Engine and FastForward (byte-identity across engines and
+// fast-forward modes is the engine's load-bearing contract) and SelfProfile (host profiling never touches the
 // snapshot). Everything else in system.Config participates, including knobs
 // like TraceDepth or Timeline that change which sections a Snapshot carries.
 type Manifest struct {
@@ -117,12 +116,11 @@ func buildStamp() BuildStamp {
 // after, or instead of one.
 func NewManifest(cfg system.Config, spec workload.Spec) *Manifest {
 	// Zero the result-neutral knobs so equivalent runs collide on purpose:
-	// wheel-vs-heap, fast-forward on/off, profiling on/off, and the parallel
-	// worker count all produce byte-identical snapshots.
+	// wheel-vs-heap, fast-forward on/off, and profiling on/off all produce
+	// byte-identical snapshots.
 	cfg.Engine = ""
 	cfg.FastForward = false
 	cfg.SelfProfile = false
-	cfg.Workers = 0
 	st := buildStamp()
 	doc, err := json.Marshal(canonicalDoc{
 		Config:   cfg,

@@ -90,7 +90,7 @@ func (s *Ideal) Walker() tlb.Walker { return idealWalker{s} }
 
 type idealWalker struct{ s *Ideal }
 
-//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate; becomes a cross-shard request
+//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate
 func (w idealWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
 	s := w.s
 	s.eng.Schedule(s.walk, func() {

@@ -3,6 +3,7 @@ package schemes
 import (
 	"testing"
 
+	"nomad/internal/check"
 	"nomad/internal/core"
 	"nomad/internal/dram"
 	"nomad/internal/mem"
@@ -349,5 +350,38 @@ func TestSchemeNames(t *testing.T) {
 	}
 	if !names["Baseline"] || !names["Ideal"] || !names["TiD"] {
 		t.Fatalf("names = %v", names)
+	}
+}
+
+// TestTiDLineFillAllocs pins the allocation cost of a TiD line fill: the 16
+// sub-block reads and their data-array writes complete through the MSHR
+// (a dram.Completer), not a closure each.
+func TestTiDLineFillAllocs(t *testing.T) {
+	e := newEnv(1, 1024)
+	s := NewTiD(e.eng, e.hbm, e.ddr, e.mm, 100, TiDConfig{CapacityBytes: 1 << 20})
+	done := false
+	onDone := func() { done = true }
+	filled := func() bool { return done && s.Drained() }
+	var line uint64
+	fill := func() {
+		done = false
+		req := mem.Request{Addr: line * tidLineSize, Kind: mem.KindDemand}
+		line++
+		s.Access(&req, onDone)
+		e.eng.RunUntil(filled, 1_000_000)
+	}
+	// Warm the DRAM request pools and the timing wheel: the fills drift
+	// around the wheel, so it takes many of them before every bucket has
+	// held events.
+	for range 2000 {
+		fill()
+	}
+	// Two remain: the MSHR and its waiter list. The invariants build boxes
+	// assertion arguments, so only the default build counts.
+	if a := testing.AllocsPerRun(50, fill); a > 2 && !check.Enabled {
+		t.Fatalf("line fill: %v allocs/op, want at most 2", a)
+	}
+	if !filled() {
+		t.Fatal("line fill never completed")
 	}
 }

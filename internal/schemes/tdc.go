@@ -74,7 +74,7 @@ func (t *TDC) Name() string { return "TDC" }
 // guarantees a data hit, so cache-space accesses go straight to the
 // on-package DRAM.
 //
-//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine; becomes a cross-shard queue push
+//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine
 func (t *TDC) Access(req *mem.Request, done mem.Done) {
 	addr := mem.Untag(req.Addr)
 	if req.Write {

@@ -66,6 +66,7 @@ type tidWaiter struct {
 //nomad:owner channel
 //nomad:ephemeral tag MSHR working state; divergence surfaces in the registered tid.* counters
 type tidMSHR struct {
+	t        *TiD
 	lineAddr uint64 // PA >> tidLineBits
 	set      uint64
 	way      int
@@ -131,8 +132,10 @@ func NewTiD(eng *sim.Engine, hbm, ddr *dram.Device, mm *osmem.Manager, walkLaten
 		metaBase: cfg.CapacityBytes, // metadata region above the data array
 		spanTap:  spanTap{now: eng.Now},
 	}
+	// One backing array for every set keeps set-up to a single allocation.
+	backing := make([]tidLine, numSets*tidWays)
 	for i := range t.sets {
-		t.sets[i] = make([]tidLine, tidWays)
+		t.sets[i] = backing[i*tidWays : (i+1)*tidWays : (i+1)*tidWays]
 	}
 	return t
 }
@@ -161,7 +164,7 @@ func (t *TiD) metaAddr(set uint64) uint64 {
 // keeps conventional translation); the DC controller probes tags in the
 // on-package DRAM on every access.
 //
-//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine; becomes a cross-shard queue push
+//nomad:port post-LLC access entry: the core side hands the request to the channel-side scheme engine
 func (t *TiD) Access(req *mem.Request, done mem.Done) {
 	addr := mem.Untag(req.Addr)
 	if req.Write {
@@ -223,7 +226,7 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 		m.waiters = append(m.waiters, tidWaiter{si: si, write: req.Write, done: done})
 		if req.Probe != nil {
 			// Parked in the DC MSHR until the sub-block lands.
-			req.Probe.Cause = mem.StallMSHR
+			req.Probe.SetCause(mem.StallMSHR)
 		}
 		if req.Write {
 			m.dirty = true
@@ -241,7 +244,7 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 	if len(t.mshrs) >= t.maxMSHR {
 		t.tidStats.MSHRStalls++
 		if req.Probe != nil {
-			req.Probe.Cause = mem.StallMSHR
+			req.Probe.SetCause(mem.StallMSHR)
 		}
 		t.pending = append(t.pending, tidPending{req: req, done: done})
 		return
@@ -278,7 +281,7 @@ func (t *TiD) miss(req mem.Request, lineAddr, set uint64, done mem.Done) {
 	v.valid = false
 	v.dirty = false
 
-	m := &tidMSHR{lineAddr: lineAddr, set: set, way: way}
+	m := &tidMSHR{t: t, lineAddr: lineAddr, set: set, way: way}
 	m.waiters = append(m.waiters, tidWaiter{si: si, write: req.Write, done: done})
 	m.dirty = req.Write
 	t.mshrs[lineAddr] = m
@@ -309,6 +312,30 @@ func (t *TiD) issueFills(m *tidMSHR) {
 	}
 }
 
+// Completion-argument packing for tidMSHR.Complete: bit 0 distinguishes a
+// sub-block read arriving from off-package memory from a fill write landing
+// in the data array; a read's higher bits carry its sub-block index.
+const (
+	tidFillWritten = uint64(0)
+	tidSubArrived  = uint64(1)
+)
+
+// Complete implements dram.Completer, so the line fill's reads and writes
+// complete through the MSHR itself instead of a closure per sub-block.
+func (m *tidMSHR) Complete(arg uint64) {
+	if arg&1 == tidSubArrived {
+		m.t.subArrived(m, uint(arg>>1))
+		return
+	}
+	m.writes++
+	if m.writes == tidSubPerLine {
+		m.t.fillComplete(m)
+	}
+}
+
+// fetchSub reads sub-block si of the line from off-package memory. A
+// demand's fetch carries its probe (and, when sampled, a span) through a
+// closure; the line-fill reads complete through the MSHR.
 func (t *TiD) fetchSub(m *tidMSHR, si uint, priority bool, p *mem.Probe) {
 	if m.issued&(1<<si) != 0 {
 		return
@@ -316,6 +343,10 @@ func (t *TiD) fetchSub(m *tidMSHR, si uint, priority bool, p *mem.Probe) {
 	m.issued |= 1 << si
 	m.inFlight++
 	src := m.lineAddr<<tidLineBits | uint64(si)*mem.BlockSize
+	if p == nil {
+		t.ddr.AccessArg(src, false, mem.KindFill, priority, m, uint64(si)<<1|tidSubArrived)
+		return
+	}
 	t.ddr.AccessProbe(src, false, mem.KindFill, priority, p,
 		t.wrap(p, metrics.SpanDDR, func() {
 			t.subArrived(m, si)
@@ -327,12 +358,7 @@ func (t *TiD) subArrived(m *tidMSHR, si uint) {
 	m.arrived |= 1 << si
 	// Fill the sub-block into the data array.
 	da := t.dataAddr(m.set, m.way, uint64(si)*mem.BlockSize)
-	t.hbm.Access(da, true, mem.KindFill, false, func() {
-		m.writes++
-		if m.writes == tidSubPerLine {
-			t.fillComplete(m)
-		}
-	})
+	t.hbm.AccessArg(da, true, mem.KindFill, false, m, tidFillWritten)
 	// Early restart: serve waiters for this sub-block.
 	kept := m.waiters[:0]
 	for _, w := range m.waiters {
@@ -366,7 +392,7 @@ func (t *TiD) Walker() tlb.Walker { return tidWalker{t} }
 
 type tidWalker struct{ t *TiD }
 
-//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate; becomes a cross-shard request
+//nomad:port page-walk entry: the core-side TLB asks the channel-side OS engine to translate
 func (w tidWalker) Walk(coreID int, vaddr uint64, done func(tlb.Entry)) {
 	w.t.eng.Schedule(w.t.walk, func() {
 		vpn := mem.PageNum(vaddr)

@@ -20,56 +20,47 @@
 // differential-testing oracle) are interchangeable via WithScheduler, and
 // the equivalence tests prove both produce byte-identical runs.
 //
-// Fast-forward: when every registered ticker also implements FastForwarder
-// and reports quiescence, Run/RunUntil jump the clock directly to the next
-// cycle at which anything can happen — the earliest ticker wake-up, the
-// scheduler's NextDue, or the next sampler/interval boundary — instead of
-// stepping one cycle at a time. Skipped cycles are bulk-accounted through
-// SkipCycles, and the jump target always lands on a real Step, so a run
-// with fast-forward enabled is state-identical (byte-identical snapshots,
-// timelines, and traces) to the same run stepped cycle by cycle. See
-// DESIGN.md, "Idle-cycle fast-forward".
-//
-// Parallel mode: the Parallel option shards the tick phase across worker
-// goroutines along the ownership domains while keeping the event phase
-// sequential, and remains byte-identical to this sequential engine. See
-// parallel.go and DESIGN.md, "Parallel engine".
+// Dormancy: a ticker with nothing to do puts itself to sleep (Sleep) until a
+// cycle it names or until another component wakes it (Wake), and the engine
+// ticks only awake tickers. When no ticker is awake, Run/RunUntil jump the
+// clock straight to the next cycle at which anything can happen: the
+// earliest timed wake, the scheduler's NextDue, or the next sampler/interval
+// boundary. Sleepers that owe per-cycle accounting for the span they slept
+// (Settler) are caught up before every hook and before Run/RunUntil return,
+// so a run with dormancy on is state-identical (byte-identical snapshots,
+// timelines, and traces) to the same run with every ticker ticked every
+// cycle. See DESIGN.md, "Per-ticker dormancy".
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"nomad/internal/check"
 )
 
-// Ticker is a component that needs to observe every simulated cycle.
+// Ticker is a component that needs to observe simulated cycles.
 type Ticker interface {
-	// Tick is called exactly once per cycle, after the cycle counter has
-	// advanced and before that cycle's scheduled events run.
+	// Tick is called once per cycle while the ticker is awake, after the
+	// cycle counter has advanced and before that cycle's scheduled events
+	// run.
 	Tick(now uint64)
 }
 
-// NoWork is the NextWork return value meaning "only a scheduled event can
-// give this ticker work": the ticker is quiescent indefinitely.
+// NoWork is the Sleep deadline meaning "only a Wake can give this ticker
+// work": the ticker sleeps indefinitely.
 const NoWork = ^uint64(0)
 
-// FastForwarder is the optional Ticker extension that enables idle-cycle
-// fast-forward. The engine only jumps when every registered ticker
-// implements it.
-type FastForwarder interface {
+// Settler is the optional Ticker extension for sleepers that charge the
+// cycles they sleep through lazily, in bulk, instead of one Tick at a time.
+// The engine calls Settle(now) on every registered Settler before the
+// sampler and interval hooks run and before Run/RunUntil return, so every
+// counter a hook or a caller reads is current. Settle must charge exactly
+// what the Ticks of the slept cycles up to and including through would
+// have charged, and nothing for a ticker that is awake.
+type Settler interface {
 	Ticker
-	// NextWork reports the earliest cycle after now at which this ticker's
-	// Tick might do anything beyond per-cycle stall accounting, assuming no
-	// scheduled event runs in between (the engine separately bounds jumps
-	// by the event queue). Returning now+1 declines fast-forward for this
-	// cycle; returning NoWork means only an event can create work. The
-	// contract: for every cycle c in (now, NextWork(now)), Tick(c) must be
-	// exactly equivalent to the per-cycle share of SkipCycles.
-	NextWork(now uint64) uint64
-	// SkipCycles bulk-accounts n skipped cycles (now+1 .. now+n) that the
-	// engine verified are quiescent for every ticker. Implementations
-	// charge the same stall buckets n of their Ticks would have charged.
-	SkipCycles(now, n uint64)
+	Settle(through uint64)
 }
 
 // TickerFunc adapts a plain function to the Ticker interface.
@@ -77,6 +68,9 @@ type TickerFunc func(now uint64)
 
 // Tick implements Ticker.
 func (f TickerFunc) Tick(now uint64) { f(now) }
+
+// noTicker is Engine.ticking outside the tick phase.
+const noTicker = int(^uint(0) >> 1)
 
 // Engine is the simulation clock. The zero value is not usable; call New.
 //
@@ -87,13 +81,21 @@ type Engine struct {
 	executed uint64
 	sched    Scheduler
 	tickers  []Ticker
+	settlers []Settler
 
-	// Fast-forward state: ff mirrors tickers when every registered ticker
-	// implements FastForwarder (allFF); skipped/jumps count bulk-advanced
-	// cycles and the jumps that advanced them.
+	// Dormancy state. awake is a bitset over ticker ids (registration
+	// order) with nAwake bits set; wakeAt[id] is a sleeping ticker's timed
+	// wake (NoWork when it has none or is awake) and nextWake a lower bound
+	// on the earliest of them (a Wake may leave it stale-low, which only
+	// costs one rescan). ticking is the id whose Tick is running (noTicker
+	// outside the tick phase). skipped/jumps count the cycles advanced with
+	// no ticker awake and the jumps that advanced them.
 	fastForward bool
-	allFF       bool
-	ff          []FastForwarder
+	awake       []uint64
+	nAwake      int
+	wakeAt      []uint64
+	nextWake    uint64
+	ticking     int
 	skipped     uint64
 	jumps       uint64
 
@@ -111,16 +113,6 @@ type Engine struct {
 	intervalEvery uint64
 	intervalFn    func(now uint64)
 	nextInterval  uint64
-
-	// Parallel tick-phase state (see parallel.go). par is non-nil on a root
-	// engine built with the Parallel option; rootEng is non-nil on a shard
-	// facade returned by NewShard. inTick is true on the root exactly while
-	// shard tickers run concurrently: it is written by the coordinator
-	// before the epoch publish and after the join (both sequenced by the
-	// runner's atomics), so workers read a stable value.
-	par     *parallelRunner
-	rootEng *Engine
-	inTick  bool
 }
 
 // DefaultInterval is the interval-hook period (in cycles) used when a caller
@@ -142,12 +134,11 @@ func WithScheduler(s Scheduler) Option {
 }
 
 // New returns an Engine at cycle 0 with no pending work, running on the
-// timing-wheel scheduler unless WithScheduler overrides it. Fast-forward is
-// enabled by default; it only takes effect while every registered ticker
-// implements FastForwarder, so engines driving plain Tickers behave exactly
-// as before.
+// timing-wheel scheduler unless WithScheduler overrides it. Dormancy is
+// enabled by default; it only takes effect for tickers that Sleep, so
+// engines driving plain Tickers tick them every cycle.
 func New(opts ...Option) *Engine {
-	e := &Engine{fastForward: true, allFF: true, sched: NewWheelScheduler()}
+	e := &Engine{fastForward: true, nextWake: NoWork, ticking: noTicker, sched: NewWheelScheduler()}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -161,41 +152,92 @@ func (e *Engine) Now() uint64 { return e.now }
 // need to inspect which implementation is driving the run).
 func (e *Engine) SchedulerImpl() Scheduler { return e.sched }
 
-// AddTicker registers t to be invoked every cycle. Tickers run in
-// registration order. A ticker that does not implement FastForwarder
-// disables fast-forward for the whole engine (conservative: the engine can
-// no longer prove a span is quiescent).
-func (e *Engine) AddTicker(t Ticker) {
+// AddTicker registers t, awake, and returns its ticker id for Sleep and
+// Wake. Tickers tick in registration order.
+func (e *Engine) AddTicker(t Ticker) int {
+	id := len(e.tickers)
 	e.tickers = append(e.tickers, t)
-	// On a shard facade the ticker runs in the shard's tick list, but the
-	// fast-forward bookkeeping (quiescence polling, bulk skip accounting)
-	// stays centralized on the root, which is the engine that jumps.
-	r := e.Root()
-	if f, ok := t.(FastForwarder); ok && r.allFF {
-		r.ff = append(r.ff, f)
-	} else {
-		r.allFF = false
-		r.ff = nil
+	e.wakeAt = append(e.wakeAt, NoWork)
+	if id>>6 == len(e.awake) {
+		e.awake = append(e.awake, 0)
+	}
+	e.awake[id>>6] |= 1 << (id & 63)
+	e.nAwake++
+	if s, ok := t.(Settler); ok {
+		e.settlers = append(e.settlers, s)
+	}
+	return id
+}
+
+// Sleep stops ticking ticker id until cycle until (NoWork: until a Wake).
+// A ticker calls it from inside its own Tick. It reports whether the ticker
+// is now asleep: with fast-forward off the engine keeps every ticker awake,
+// which makes the stepped engine the reference dormancy is checked against.
+func (e *Engine) Sleep(id int, until uint64) bool {
+	if !e.fastForward {
+		return false
+	}
+	if check.Enabled {
+		check.Assert(e.ticking == id, "sim: ticker %d sleeps outside its own Tick", id)
+		check.Assert(until > e.now+1, "sim: ticker %d sleeps until %d at cycle %d", id, until, e.now)
+	}
+	e.awake[id>>6] &^= 1 << (id & 63)
+	e.nAwake--
+	e.wakeAt[id] = until
+	if until < e.nextWake {
+		e.nextWake = until
+	}
+	return true
+}
+
+// Wake makes ticker id tick again from the next tick phase that reaches
+// it: later this cycle if the tick phase is still before id, otherwise next
+// cycle. Waking an awake ticker is a no-op.
+func (e *Engine) Wake(id int) {
+	bit := uint64(1) << (id & 63)
+	if e.awake[id>>6]&bit != 0 {
+		return
+	}
+	e.awake[id>>6] |= bit
+	e.nAwake++
+	e.wakeAt[id] = NoWork
+}
+
+// TickedThrough returns the last cycle ticker id has been ticked for, or
+// would have been had it been awake: the previous cycle while the tick
+// phase has not yet reached id, the current cycle otherwise. A sleeper
+// settles through it before any change that alters what its slept ticks
+// would have charged.
+func (e *Engine) TickedThrough(id int) uint64 {
+	if e.ticking < id {
+		return e.now - 1
+	}
+	return e.now
+}
+
+// SetFastForward enables or disables dormancy. It is on by default;
+// disabling wakes every sleeper and turns Sleep into a no-op, so every
+// ticker ticks every cycle (the -no-ff escape hatch, and the reference
+// behaviour the equivalence tests compare against).
+func (e *Engine) SetFastForward(on bool) {
+	e.fastForward = on
+	if !on {
+		for id := range e.tickers {
+			e.Wake(id)
+		}
 	}
 }
 
-// SetFastForward enables or disables idle-cycle fast-forward. It is on by
-// default; disabling forces the engine to step every cycle (the -no-ff
-// escape hatch, and the reference behaviour the equivalence tests compare
-// against).
-func (e *Engine) SetFastForward(on bool) { e.fastForward = on }
-
-// FastForwardEnabled reports whether fast-forward is switched on (it may
-// still be inert if a registered ticker does not support it).
+// FastForwardEnabled reports whether dormancy is switched on.
 func (e *Engine) FastForwardEnabled() bool { return e.fastForward }
 
-// SkippedCycles returns the total cycles bulk-advanced by fast-forward
-// jumps. Deliberately not part of the metrics snapshot: it differs between
+// SkippedCycles returns the total cycles advanced while no ticker was awake.
+// Deliberately not part of the metrics snapshot: it differs between
 // fast-forward on and off, and snapshots must be byte-identical across the
 // two (it surfaces through the host-side self-profile instead).
 func (e *Engine) SkippedCycles() uint64 { return e.skipped }
 
-// Jumps returns the number of fast-forward jumps taken.
+// Jumps returns the number of all-asleep jumps taken.
 func (e *Engine) Jumps() uint64 { return e.jumps }
 
 // Schedule runs fn delay cycles from now. A delay of 0 runs fn later in the
@@ -241,7 +283,7 @@ func (e *Engine) SampleWindow() uint64 {
 //
 // Boundary exactness is a contract: the hook fires at every elapsed
 // boundary with the boundary cycle as now, and fast-forward jumps never
-// pass nextInterval (tryJump bounds on it), so hook-driven captures — the
+// pass nextInterval (jump bounds on it), so hook-driven captures — the
 // metrics timeline and the interval digest chains — observe identical
 // machine state at identical cycles across engines and fast-forward modes.
 func (e *Engine) SetInterval(every uint64, fn func(now uint64)) {
@@ -272,29 +314,35 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Step advances the clock by one cycle: any event still due at the current
 // cycle first (events scheduled for cycle N outside a Step — engine setup at
 // cycle 0, hook callbacks — run before cycle N ends, observing Now() == N),
-// then tickers, then every event due at the new cycle (including events
-// those events schedule for the same cycle), then the sampler and interval
-// hooks for every window boundary that has elapsed.
+// then the timed wakes due at the new cycle, then the awake tickers, then
+// every event due at the new cycle (including events those events schedule
+// for the same cycle), then the sampler and interval hooks for every window
+// boundary that has elapsed.
 func (e *Engine) Step() {
-	e.validateShard("Step")
 	// Unconditional Advance: besides draining stragglers, it slides the
 	// scheduler's clock to e.now, so events the tickers are about to
 	// schedule take the wheel's O(1) near-window path even right after a
-	// fast-forward jump.
+	// jump.
 	e.executed += e.sched.Advance(e.now)
 	e.now++
-	if e.par != nil {
-		e.par.runTicks(e, e.now)
-	} else {
-		for _, t := range e.tickers {
-			t.Tick(e.now)
-		}
+	if e.now >= e.nextWake {
+		e.wakeDue()
 	}
+	// The awake set is re-read after every tick, so a ticker that a
+	// lower-id ticker wakes still ticks this cycle.
+	for id := e.nextAwake(0); id >= 0; id = e.nextAwake(id + 1) {
+		e.ticking = id
+		e.tickers[id].Tick(e.now)
+	}
+	e.ticking = noTicker
 	e.executed += e.sched.Advance(e.now)
 	// Both hooks catch up to every elapsed boundary, each firing with the
 	// boundary cycle as now, so a multi-window advance cannot shift the
 	// window phase. (Single-cycle steps hit each boundary exactly; the
 	// loops also keep the phase honest should the clock ever move faster.)
+	if (e.sampleFn != nil && e.now >= e.nextSample) || (e.intervalFn != nil && e.now >= e.nextInterval) {
+		e.settle()
+	}
 	if e.sampleFn != nil {
 		for e.now >= e.nextSample {
 			boundary := e.nextSample
@@ -317,31 +365,57 @@ func (e *Engine) Step() {
 	}
 }
 
-// minJump is the smallest span worth jumping over. A jump's fixed cost —
-// polling every ticker, bulk-accounting, one landing Step — is comparable
-// to stepping a handful of quiescent cycles, so shorter spans are cheaper
-// to step. Skipping a span is always optional, so the threshold cannot
-// affect results, only throughput.
-const minJump = 8
-
-// tryJump attempts one fast-forward jump, never advancing past limit (the
-// last cycle the caller may reach). It returns false — leaving the clock
-// untouched — when fast-forward is inert or the nearest ticker wake-up,
-// event, or hook boundary is within minJump cycles. On success the skipped
-// span (now+1 .. target-1) is bulk-accounted through every ticker's
-// SkipCycles and the clock lands on the target via one normal Step, so
-// ticker/event/hook ordering at the target is identical to the stepped
-// engine.
-func (e *Engine) tryJump(limit uint64) bool {
-	if !e.fastForward || !e.allFF {
-		return false
+// nextAwake returns the lowest awake ticker id at or above id, or -1.
+func (e *Engine) nextAwake(id int) int {
+	w := id >> 6
+	if w >= len(e.awake) {
+		return -1
 	}
+	word := e.awake[w] &^ (1<<(id&63) - 1)
+	for word == 0 {
+		w++
+		if w == len(e.awake) {
+			return -1
+		}
+		word = e.awake[w]
+	}
+	return w<<6 | bits.TrailingZeros64(word)
+}
+
+// wakeDue wakes every sleeper whose timed wake has come and recomputes
+// nextWake over the rest.
+func (e *Engine) wakeDue() {
+	next := NoWork
+	for id, at := range e.wakeAt {
+		switch {
+		case at <= e.now:
+			e.Wake(id)
+		case at < next:
+			next = at
+		}
+	}
+	e.nextWake = next
+}
+
+// settle brings every lazily-accounted sleeper up to date through now.
+func (e *Engine) settle() {
+	for _, s := range e.settlers {
+		s.Settle(e.now)
+	}
+}
+
+// jump advances the clock, while no ticker is awake, to just before the
+// earliest cycle at which anything can happen — a timed wake, a due event,
+// a hook boundary — never past limit (the last cycle the caller may
+// reach). The Step that follows lands on that cycle, so ticker/event/hook
+// ordering there is identical to the stepped engine.
+func (e *Engine) jump(limit uint64) {
 	target := limit
-	// The scheduler's NextDue is the cheapest bound and, in busy phases,
-	// the one that usually forbids jumping — check it before polling
-	// tickers.
 	if due := e.sched.NextDue(); due < target {
 		target = due
+	}
+	if e.nextWake < target {
+		target = e.nextWake
 	}
 	if e.sampleFn != nil && e.nextSample < target {
 		target = e.nextSample
@@ -349,67 +423,51 @@ func (e *Engine) tryJump(limit uint64) bool {
 	if e.intervalFn != nil && e.nextInterval < target {
 		target = e.nextInterval
 	}
-	if target < e.now+1+minJump {
-		return false
-	}
-	for _, f := range e.ff {
-		if w := f.NextWork(e.now); w < target {
-			if w < e.now+1+minJump {
-				return false
-			}
-			target = w
-		}
+	if target <= e.now+1 {
+		return
 	}
 	if check.Enabled {
-		// A jump must never pass a due event or hook boundary: everything
-		// that can happen before the target is provably nothing.
-		check.Assert(target > e.now+1, "sim: jump to %d from %d saves nothing", target, e.now)
-		check.Assert(e.sched.NextDue() >= target,
-			"sim: jump to %d passes event due at %d", target, e.sched.NextDue())
-		check.Assert(e.sampleFn == nil || e.nextSample >= target,
-			"sim: jump to %d passes sample boundary %d", target, e.nextSample)
-		check.Assert(e.intervalFn == nil || e.nextInterval >= target,
-			"sim: jump to %d passes interval boundary %d", target, e.nextInterval)
+		check.Assert(e.nAwake == 0, "sim: jump with %d tickers awake", e.nAwake)
 		check.Assert(target <= limit, "sim: jump to %d passes caller limit %d", target, limit)
 	}
-	n := target - e.now - 1
-	for _, f := range e.ff {
-		f.SkipCycles(e.now, n)
-	}
-	e.skipped += n
+	e.skipped += target - e.now - 1
 	e.jumps++
 	e.now = target - 1
-	e.Step()
-	return true
 }
 
-// Run advances the clock by cycles cycles, fast-forwarding across quiescent
-// spans when enabled (the observable end state is identical either way).
+// Run advances the clock by cycles cycles, jumping across spans in which no
+// ticker is awake (the observable end state is identical either way).
 func (e *Engine) Run(cycles uint64) {
 	end := e.now + cycles
 	for e.now < end {
-		if !e.tryJump(end) {
-			e.Step()
+		if e.nAwake == 0 && e.fastForward {
+			e.jump(end)
 		}
+		e.Step()
 	}
+	e.settle()
 }
 
 // RunUntil advances the clock until pred returns true or maxCycles elapse.
 // It reports whether pred was satisfied. pred is evaluated at every cycle
-// the engine actually executes; fast-forward skips only spans in which no
-// ticker, event, or hook runs, so a pred that depends on simulation
-// progress (retired instructions, completed events) is checked at exactly
-// the cycles where its value can change.
+// the engine actually executes; jumps skip only spans in which no ticker,
+// event, or hook runs, so a pred that depends on simulation progress
+// (retired instructions, completed events) is checked at exactly the cycles
+// where its value can change. Sleepers are settled only when RunUntil
+// returns, so pred must not read their lazily charged stall counters.
 func (e *Engine) RunUntil(pred func() bool, maxCycles uint64) bool {
 	end := e.now + maxCycles
 	for e.now < end {
 		if pred() {
+			e.settle()
 			return true
 		}
-		if !e.tryJump(end) {
-			e.Step()
+		if e.nAwake == 0 && e.fastForward {
+			e.jump(end)
 		}
+		e.Step()
 	}
+	e.settle()
 	return pred()
 }
 

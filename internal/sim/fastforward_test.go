@@ -2,30 +2,45 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
-// ffTicker is a test FastForwarder: quiescent except at the cycles in busy,
-// recording every Tick and every SkipCycles span.
-type ffTicker struct {
-	busy  map[uint64]bool // cycles at which the ticker claims work
+// sleeper is a test ticker that records its ticks and, after each one,
+// sleeps until the cycle next names (NoWork: until woken; now+1 or less:
+// stays awake).
+type sleeper struct {
+	e     *Engine
+	id    int
+	next  func(now uint64) uint64
 	ticks []uint64
-	skips [][2]uint64 // (first, last) skipped cycle per SkipCycles call
 }
 
-func (f *ffTicker) Tick(now uint64) { f.ticks = append(f.ticks, now) }
+func addSleeper(e *Engine, next func(now uint64) uint64) *sleeper {
+	s := &sleeper{e: e, next: next}
+	s.id = e.AddTicker(s)
+	return s
+}
 
-func (f *ffTicker) NextWork(now uint64) uint64 {
-	for c := now + 1; c <= now+1_000_000; c++ {
-		if f.busy[c] {
-			return c
+func (s *sleeper) Tick(now uint64) {
+	s.ticks = append(s.ticks, now)
+	if until := s.next(now); until > now+1 {
+		s.e.Sleep(s.id, until)
+	}
+}
+
+func forever(uint64) uint64 { return NoWork }
+
+func equalCycles(x, y []uint64) bool {
+	if len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if x[i] != y[i] {
+			return false
 		}
 	}
-	return NoWork
-}
-
-func (f *ffTicker) SkipCycles(now, n uint64) {
-	f.skips = append(f.skips, [2]uint64{now + 1, now + n})
+	return true
 }
 
 // TestCycleZeroEventObservesNowZero pins the cycle-0 fix: an event scheduled
@@ -124,14 +139,14 @@ func TestHookReRegisterInsideCallback(t *testing.T) {
 	}
 }
 
-// TestFastForwardSkipsIdleSpan: a fully quiescent engine with one pending
-// event jumps straight to the event cycle.
+// TestFastForwardSkipsIdleSpan: with its only ticker asleep, the engine
+// jumps straight to the pending event, which wakes the ticker for the next
+// cycle, and then to the run limit.
 func TestFastForwardSkipsIdleSpan(t *testing.T) {
 	e := New()
-	f := &ffTicker{busy: map[uint64]bool{}}
-	e.AddTicker(f)
+	s := addSleeper(e, forever)
 	fired := uint64(0)
-	e.Schedule(100, func() { fired = e.Now() })
+	e.Schedule(100, func() { fired = e.Now(); e.Wake(s.id) })
 	e.Run(200)
 	if fired != 100 {
 		t.Fatalf("event fired at %d, want 100", fired)
@@ -139,74 +154,100 @@ func TestFastForwardSkipsIdleSpan(t *testing.T) {
 	if e.Now() != 200 {
 		t.Fatalf("clock at %d, want 200", e.Now())
 	}
-	// Two jumps: to the event at 100, then to the run limit at 200. Each
-	// jump lands with one real Step; every other cycle is skipped.
+	if !equalCycles(s.ticks, []uint64{1, 101}) {
+		t.Fatalf("ticks = %v, want [1 101]", s.ticks)
+	}
+	// Two jumps: 1 -> 100 (cycles 2..99 skipped) and 101 -> 200
+	// (102..199); each lands on a real Step.
 	if e.Jumps() != 2 {
 		t.Fatalf("Jumps = %d, want 2", e.Jumps())
 	}
-	if e.SkippedCycles() != 198 {
-		t.Fatalf("SkippedCycles = %d, want 198", e.SkippedCycles())
-	}
-	if len(f.ticks) != 2 || f.ticks[0] != 100 || f.ticks[1] != 200 {
-		t.Fatalf("ticks = %v, want [100 200]", f.ticks)
-	}
-	if len(f.skips) != 2 || f.skips[0] != [2]uint64{1, 99} || f.skips[1] != [2]uint64{101, 199} {
-		t.Fatalf("skips = %v, want [[1 99] [101 199]]", f.skips)
+	if e.SkippedCycles() != 196 {
+		t.Fatalf("SkippedCycles = %d, want 196", e.SkippedCycles())
 	}
 }
 
-// TestFastForwardHonorsNextWork: the jump stops at the earliest ticker
-// wake-up even with no events pending.
+// TestFastForwardHonorsNextWork: a timed sleep ends exactly at the cycle the
+// ticker named, with no event pending to bound the jump.
 func TestFastForwardHonorsNextWork(t *testing.T) {
 	e := New()
-	f := &ffTicker{busy: map[uint64]bool{40: true}}
-	e.AddTicker(f)
+	s := addSleeper(e, func(now uint64) uint64 {
+		if now < 40 {
+			return 40
+		}
+		return NoWork
+	})
 	e.Run(50)
-	// The ticker must be stepped (not skipped) at its busy cycle.
-	for _, s := range f.skips {
-		if s[0] <= 40 && 40 <= s[1] {
-			t.Fatalf("busy cycle 40 was skipped: %v", f.skips)
-		}
+	if !equalCycles(s.ticks, []uint64{1, 40}) {
+		t.Fatalf("ticks = %v, want [1 40]", s.ticks)
 	}
-	seen := false
-	for _, c := range f.ticks {
-		if c == 40 {
-			seen = true
-		}
+	if e.Now() != 50 || e.Jumps() != 2 {
+		t.Fatalf("clock %d after %d jumps, want 50 after 2", e.Now(), e.Jumps())
 	}
-	if !seen {
-		t.Fatalf("busy cycle 40 never ticked: %v", f.ticks)
+}
+
+// settleCounter is a lazily-accounted sleeper: it counts every cycle it is
+// registered for, charging slept cycles in bulk through Settle.
+type settleCounter struct {
+	e         *Engine
+	id        int
+	cycles    uint64
+	asleep    bool
+	sleptFrom uint64
+}
+
+func (c *settleCounter) Tick(now uint64) {
+	c.Settle(now - 1)
+	c.asleep = false
+	c.cycles++
+	if c.e.Sleep(c.id, NoWork) {
+		c.asleep, c.sleptFrom = true, now+1
+	}
+}
+
+func (c *settleCounter) Settle(through uint64) {
+	if c.asleep && through >= c.sleptFrom {
+		c.cycles += through - c.sleptFrom + 1
+		c.sleptFrom = through + 1
 	}
 }
 
 // TestFastForwardHonorsHookBoundaries: jumps clamp to sampler and interval
-// boundaries so hooks fire at exactly the same cycles as a stepped run.
+// boundaries so hooks fire at exactly the same cycles as a stepped run, and
+// sleepers are settled through the boundary before each hook reads them.
 func TestFastForwardHonorsHookBoundaries(t *testing.T) {
 	e := New()
-	e.AddTicker(&ffTicker{busy: map[uint64]bool{}})
+	c := &settleCounter{e: e}
+	c.id = e.AddTicker(c)
 	var samples, intervals []uint64
-	e.SetSampler(10, func(now uint64) { samples = append(samples, now) })
+	e.SetSampler(10, func(now uint64) {
+		samples = append(samples, now)
+		if c.cycles != now {
+			t.Errorf("sampler at %d saw %d settled cycles", now, c.cycles)
+		}
+	})
 	e.SetInterval(25, func(now uint64) { intervals = append(intervals, now) })
 	e.Run(50)
-	wantS := []uint64{10, 20, 30, 40, 50}
-	if len(samples) != len(wantS) {
-		t.Fatalf("sampler fired at %v, want %v", samples, wantS)
+	if want := []uint64{10, 20, 30, 40, 50}; !equalCycles(samples, want) {
+		t.Fatalf("sampler fired at %v, want %v", samples, want)
 	}
-	for i := range wantS {
-		if samples[i] != wantS[i] {
-			t.Fatalf("sampler fired at %v, want %v", samples, wantS)
-		}
-	}
-	if len(intervals) != 2 || intervals[0] != 25 || intervals[1] != 50 {
+	if !equalCycles(intervals, []uint64{25, 50}) {
 		t.Fatalf("interval hook fired at %v, want [25 50]", intervals)
+	}
+	if e.Jumps() == 0 {
+		t.Fatal("never jumped between hook boundaries")
+	}
+	e.Run(7) // ends between boundaries: Run settles on return
+	if c.cycles != 57 {
+		t.Fatalf("settled %d cycles at return from cycle 57", c.cycles)
 	}
 }
 
-// TestFastForwardInertWithPlainTicker: one non-FastForwarder ticker disables
-// jumping entirely.
+// TestFastForwardInertWithPlainTicker: a ticker that never sleeps is ticked
+// every cycle and keeps the engine from jumping.
 func TestFastForwardInertWithPlainTicker(t *testing.T) {
 	e := New()
-	e.AddTicker(&ffTicker{busy: map[uint64]bool{}})
+	addSleeper(e, forever)
 	n := 0
 	e.AddTicker(TickerFunc(func(uint64) { n++ }))
 	e.Run(100)
@@ -218,82 +259,171 @@ func TestFastForwardInertWithPlainTicker(t *testing.T) {
 	}
 }
 
-// TestFastForwardDisabledBySwitch: SetFastForward(false) forces per-cycle
-// stepping even for all-FastForwarder engines.
+// TestFastForwardDisabledBySwitch: SetFastForward(false) wakes every
+// sleeper and turns Sleep into a no-op, so every ticker ticks every cycle.
 func TestFastForwardDisabledBySwitch(t *testing.T) {
 	e := New()
-	f := &ffTicker{busy: map[uint64]bool{}}
-	e.AddTicker(f)
+	s := addSleeper(e, forever)
+	e.Run(10) // asleep since cycle 1
 	e.SetFastForward(false)
 	if e.FastForwardEnabled() {
 		t.Fatal("FastForwardEnabled after SetFastForward(false)")
 	}
+	jumps, skipped := e.Jumps(), e.SkippedCycles()
 	e.Run(100)
-	if e.Jumps() != 0 || e.SkippedCycles() != 0 {
-		t.Fatalf("jumped while disabled: jumps=%d skipped=%d", e.Jumps(), e.SkippedCycles())
+	if e.Jumps() != jumps || e.SkippedCycles() != skipped {
+		t.Fatalf("jumped while disabled: jumps=%d skipped=%d", e.Jumps()-jumps, e.SkippedCycles()-skipped)
 	}
-	if len(f.ticks) != 100 {
-		t.Fatalf("ticker ran %d times, want 100", len(f.ticks))
+	if len(s.ticks) != 101 || s.ticks[1] != 11 || s.ticks[100] != 110 {
+		t.Fatalf("ticker ran at %d cycles (%v...), want 1 then 11..110", len(s.ticks), s.ticks[:2])
 	}
 }
 
-// TestFastForwardEquivalence runs randomized schedules through a
-// fast-forwarding engine and a stepped engine and requires identical event
-// firing cycles, hook firings, tick counts at busy cycles, and final state.
+// worker is one ticker of the differential machine below. It does one unit
+// of work per tick while it has any; otherwise the tick is idle, and idle
+// ticks are what dormancy skips and charges lazily (as cpu.Core charges
+// stall cycles). Work arrives from events, from other workers during the
+// tick phase (lower and higher ids alike), and from the worker's own timer.
+type worker struct {
+	m         *diffMachine
+	id        int
+	rng       *rand.Rand
+	pending   int
+	timerAt   uint64 // a unit of work arrives at this cycle (0: none)
+	idle      uint64
+	asleep    bool
+	sleptFrom uint64
+}
+
+// diffMachine logs everything a stepped and a dormant run must agree on.
+type diffMachine struct {
+	e       *Engine
+	workers []*worker
+	work    [][2]uint64 // (cycle, worker) of every work tick
+	events  []uint64    // cycle of every event
+	hooks   [][]uint64  // cycle and every worker's idle count, per hook
+}
+
+func (w *worker) settle(through uint64) {
+	if w.asleep && through >= w.sleptFrom {
+		w.idle += through - w.sleptFrom + 1
+		w.sleptFrom = through + 1
+	}
+}
+
+func (w *worker) Settle(through uint64) { w.settle(through) }
+
+// give hands w one unit of work, settling its idle span first.
+func (w *worker) give() {
+	e := w.m.e
+	w.settle(e.TickedThrough(w.id))
+	w.asleep = false
+	w.pending++
+	e.Wake(w.id)
+}
+
+func (w *worker) Tick(now uint64) {
+	m := w.m
+	w.settle(now - 1) // woken by the engine's timer
+	w.asleep = false
+	if w.timerAt != 0 && now >= w.timerAt {
+		w.timerAt = 0
+		w.pending++
+	}
+	if w.pending == 0 {
+		w.idle++
+	} else {
+		w.pending--
+		m.work = append(m.work, [2]uint64{now, uint64(w.id)})
+		switch w.rng.Intn(5) {
+		case 0, 1: // an event gives some worker work later
+			to := m.workers[w.rng.Intn(len(m.workers))]
+			m.e.Schedule(uint64(w.rng.Intn(40)), func() {
+				m.events = append(m.events, m.e.Now())
+				to.give()
+			})
+		case 2: // hand work to another worker in the tick phase
+			m.workers[w.rng.Intn(len(m.workers))].give()
+		case 3: // a timer, if none is set
+			if w.timerAt == 0 {
+				w.timerAt = now + 1 + uint64(w.rng.Intn(60))
+			}
+		}
+	}
+	if w.pending > 0 {
+		return
+	}
+	until := NoWork
+	if w.timerAt != 0 {
+		until = w.timerAt
+	}
+	if until > now+1 && m.e.Sleep(w.id, until) {
+		w.asleep, w.sleptFrom = true, now+1
+	}
+}
+
+func runDiffMachine(seed int64, ff bool) *diffMachine {
+	m := &diffMachine{e: New()}
+	m.e.SetFastForward(ff)
+	for i := 0; i < 4; i++ {
+		w := &worker{m: m, rng: rand.New(rand.NewSource(seed*10 + int64(i)))}
+		w.id = m.e.AddTicker(w)
+		m.workers = append(m.workers, w)
+	}
+	hook := func(now uint64) {
+		rec := []uint64{now}
+		for _, w := range m.workers {
+			rec = append(rec, w.idle)
+		}
+		m.hooks = append(m.hooks, rec)
+	}
+	m.e.SetSampler(37, hook)
+	m.e.SetInterval(100, hook)
+	r := rand.New(rand.NewSource(seed))
+	for i := 0; i < 8; i++ {
+		to := m.workers[r.Intn(len(m.workers))]
+		m.e.Schedule(uint64(r.Intn(500)), func() {
+			m.events = append(m.events, m.e.Now())
+			to.give()
+		})
+	}
+	// Alternate Run and RunUntil over uneven chunks: both settle on return
+	// and bound their jumps by the chunk end.
+	for m.e.Now() < 3000 {
+		chunk := uint64(1 + r.Intn(300))
+		if r.Intn(2) == 0 {
+			m.e.Run(chunk)
+		} else {
+			target := len(m.work) + 1 + r.Intn(20)
+			m.e.RunUntil(func() bool { return len(m.work) >= target }, chunk)
+		}
+		hook(m.e.Now())
+	}
+	return m
+}
+
+// TestFastForwardEquivalence drives randomized machines of sleeping tickers
+// through a dormant engine and a stepped one (SetFastForward(false)) and
+// requires identical work ticks, event cycles, hook cycles and lazily
+// settled idle counts. Sleepers are woken by timed wakes, by events, and by
+// lower- and higher-id tickers during the tick phase.
 func TestFastForwardEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		busy := map[uint64]bool{}
-		for i := 0; i < 10; i++ {
-			busy[uint64(1+rng.Intn(400))] = true
+	for seed := int64(0); seed < 40; seed++ {
+		on, off := runDiffMachine(seed, true), runDiffMachine(seed, false)
+		if !reflect.DeepEqual(on.work, off.work) {
+			t.Fatalf("seed %d: work ticks differ:\n  dormant: %v\n  stepped: %v", seed, on.work, off.work)
 		}
-		type trace struct {
-			events  []uint64
-			samples []uint64
-			ticks   []uint64
+		if !equalCycles(on.events, off.events) {
+			t.Fatalf("seed %d: event cycles differ: dormant=%v stepped=%v", seed, on.events, off.events)
 		}
-		run := func(ff bool) trace {
-			var tr trace
-			e := New()
-			e.SetFastForward(ff)
-			f := &ffTicker{busy: busy}
-			e.AddTicker(f)
-			e.SetSampler(37, func(now uint64) { tr.samples = append(tr.samples, now) })
-			r := rand.New(rand.NewSource(seed + 1))
-			for i := 0; i < 30; i++ {
-				e.Schedule(uint64(1+r.Intn(400)), func() { tr.events = append(tr.events, e.Now()) })
-			}
-			e.Run(450)
-			// Keep only the ticks a stepped and jumped run must share:
-			// busy cycles (quiescent-span ticks are exactly what jumps
-			// elide, by contract equivalent to SkipCycles).
-			for _, c := range f.ticks {
-				if busy[c] {
-					tr.ticks = append(tr.ticks, c)
-				}
-			}
-			return tr
+		if !reflect.DeepEqual(on.hooks, off.hooks) {
+			t.Fatalf("seed %d: hooks differ:\n  dormant: %v\n  stepped: %v", seed, on.hooks, off.hooks)
 		}
-		a, b := run(true), run(false)
-		eq := func(x, y []uint64) bool {
-			if len(x) != len(y) {
-				return false
-			}
-			for i := range x {
-				if x[i] != y[i] {
-					return false
-				}
-			}
-			return true
+		if on.e.Now() != off.e.Now() {
+			t.Fatalf("seed %d: clocks differ: %d vs %d", seed, on.e.Now(), off.e.Now())
 		}
-		if !eq(a.events, b.events) {
-			t.Fatalf("seed %d: event cycles differ: ff=%v stepped=%v", seed, a.events, b.events)
-		}
-		if !eq(a.samples, b.samples) {
-			t.Fatalf("seed %d: sample cycles differ: ff=%v stepped=%v", seed, a.samples, b.samples)
-		}
-		if !eq(a.ticks, b.ticks) {
-			t.Fatalf("seed %d: busy-cycle ticks differ: ff=%v stepped=%v", seed, a.ticks, b.ticks)
+		if off.e.SkippedCycles() != 0 || on.e.SkippedCycles() == 0 {
+			t.Fatalf("seed %d: skipped %d cycles dormant, %d stepped", seed, on.e.SkippedCycles(), off.e.SkippedCycles())
 		}
 	}
 }
@@ -394,10 +524,10 @@ func TestRunUntilBoundaries(t *testing.T) {
 		t.Fatalf("clock at %d after exhaustion, want 25", e3.Now())
 	}
 
-	// Fast-forward variant: pred driven by an event, engine fully
-	// quiescent, same stopping cycle as the stepped run above.
+	// Fast-forward variant: pred driven by an event, the only ticker
+	// asleep, same stopping cycle as the stepped run above.
 	e4 := New()
-	e4.AddTicker(&ffTicker{busy: map[uint64]bool{}})
+	addSleeper(e4, forever)
 	done4 := false
 	e4.Schedule(10, func() { done4 = true })
 	if !e4.RunUntil(func() bool { return done4 }, 10) {

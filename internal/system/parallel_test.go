@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"testing"
 
 	"nomad/internal/metrics"
 )
 
 // parRun executes one instrumented small run (timeline, digests, trace and
-// span rings all on) with the given tick-phase worker count and returns the
-// marshalled snapshot and the Perfetto trace bytes.
-func parRun(t *testing.T, s SchemeName, workers int, cores int) ([]byte, []byte) {
-	t.Helper()
+// span rings all on) and returns the marshalled snapshot and the Perfetto
+// trace bytes. It is safe to call from several goroutines at once: errors
+// are returned, not reported through t.
+func parRun(s SchemeName, cores int, ff bool) ([]byte, []byte, error) {
 	cfg := smallConfig(s)
 	cfg.Cores = cores
 	cfg.Timeline = true
@@ -21,38 +22,66 @@ func parRun(t *testing.T, s SchemeName, workers int, cores int) ([]byte, []byte)
 	cfg.Interval = 20_000
 	cfg.TraceDepth = 1 << 12
 	cfg.SpanDepth = 1 << 11
-	cfg.Workers = workers
+	cfg.FastForward = ff
 	m, err := New(cfg, smallSpec())
 	if err != nil {
-		t.Fatalf("New(%s, workers=%d): %v", s, workers, err)
+		return nil, nil, fmt.Errorf("New(%s): %w", s, err)
 	}
 	r, err := m.Run()
 	if err != nil {
-		t.Fatalf("Run(%s, workers=%d): %v", s, workers, err)
+		return nil, nil, fmt.Errorf("Run(%s): %w", s, err)
 	}
 	snap, err := json.Marshal(r.Metrics)
 	if err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
 	var trace bytes.Buffer
 	if err := metrics.WritePerfetto(&trace, metrics.PerfettoRun{Name: "par", Dump: r.Trace}); err != nil {
-		t.Fatal(err)
+		return nil, nil, err
 	}
-	return snap, trace.Bytes()
+	return snap, trace.Bytes(), nil
 }
 
-// TestParallelByteIdentical is the parallel-mode correctness contract: for
-// every scheme, a run with the tick phase sharded over 1, 2, or 4 workers
-// must produce byte-for-byte the sequential engine's metrics snapshot
-// (counters, timeline, interval digest chains) and Perfetto trace. workers=1
-// exercises the full shard/defer/replay machinery without concurrency, so a
-// failure there is an ordering bug and a failure only at >1 is a race.
+// parBatch runs n identical machines on n goroutines at once, the way
+// harness.Execute runs a batch, and returns each one's snapshot and trace.
+func parBatch(t *testing.T, s SchemeName, cores int, ff bool, n int) ([][]byte, [][]byte) {
+	t.Helper()
+	snaps := make([][]byte, n)
+	traces := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			snaps[i], traces[i], errs[i] = parRun(s, cores, ff)
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("machine %d: %v", i, err)
+		}
+	}
+	return snaps, traces
+}
+
+// TestParallelByteIdentical is the contract harness.Execute's run pool
+// relies on: machines simulated concurrently on separate goroutines share
+// no mutable state, so for every scheme each of several concurrent runs
+// produces byte-for-byte a lone run's metrics snapshot (counters, timeline,
+// interval digest chains) and Perfetto trace. Under -race it also catches
+// package-level state written by a running machine.
 func TestParallelByteIdentical(t *testing.T) {
 	const cores = 4
+	const machines = 3
 	for _, s := range AllSchemes() {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
-			refSnap, refTrace := parRun(t, s, 0, cores)
+			refSnap, refTrace, err := parRun(s, cores, true)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var sn metrics.Snapshot
 			if err := json.Unmarshal(refSnap, &sn); err != nil {
 				t.Fatal(err)
@@ -60,51 +89,38 @@ func TestParallelByteIdentical(t *testing.T) {
 			if sn.Digests.Windows() == 0 {
 				t.Fatal("reference run produced no digest chains; the equivalence check would be vacuous")
 			}
-			for _, workers := range []int{1, 2, 4} {
-				snap, trace := parRun(t, s, workers, cores)
-				if !bytes.Equal(refSnap, snap) {
-					t.Errorf("workers=%d: metrics snapshot differs from sequential\nseq: %.400s\npar: %.400s",
-						workers, refSnap, snap)
+			snaps, traces := parBatch(t, s, cores, true, machines)
+			for i := range snaps {
+				if !bytes.Equal(refSnap, snaps[i]) {
+					t.Errorf("machine %d: metrics snapshot differs from the lone run\nlone: %.400s\nconc: %.400s",
+						i, refSnap, snaps[i])
 				}
-				if !bytes.Equal(refTrace, trace) {
-					t.Errorf("workers=%d: Perfetto trace differs from sequential", workers)
+				if !bytes.Equal(refTrace, traces[i]) {
+					t.Errorf("machine %d: Perfetto trace differs from the lone run", i)
 				}
 			}
 		})
 	}
 }
 
-// TestParallelFastForwardByteIdentical pins the parallel x fast-forward
-// corner: sharded ticking composes with idle-cycle jumps (quiescence polls
-// and bulk skip accounting run on the coordinator) without disturbing the
-// byte-identity contract.
+// TestParallelFastForwardByteIdentical crosses concurrent machines with
+// per-ticker dormancy on and off (the stepped -no-ff reference): sleeping
+// cores and DRAM devices, their wake closures and settle-on-wake accounting
+// stay private to their machine, so concurrent runs match a lone run in
+// both modes.
 func TestParallelFastForwardByteIdentical(t *testing.T) {
 	for _, ff := range []bool{true, false} {
+		ff := ff
 		t.Run(fmt.Sprintf("ff=%v", ff), func(t *testing.T) {
-			run := func(workers int) []byte {
-				cfg := smallConfig(SchemeNOMAD)
-				cfg.Timeline = true
-				cfg.Digests = true
-				cfg.Interval = 20_000
-				cfg.FastForward = ff
-				cfg.Workers = workers
-				m, err := New(cfg, smallSpec())
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := m.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap, err := json.Marshal(r.Metrics)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return snap
+			ref, _, err := parRun(SchemeNOMAD, 2, ff)
+			if err != nil {
+				t.Fatal(err)
 			}
-			ref := run(0)
-			if got := run(4); !bytes.Equal(ref, got) {
-				t.Errorf("ff=%v: parallel snapshot differs from sequential", ff)
+			snaps, _ := parBatch(t, SchemeNOMAD, 2, ff, 4)
+			for i, got := range snaps {
+				if !bytes.Equal(ref, got) {
+					t.Errorf("ff=%v: machine %d snapshot differs from the lone run", ff, i)
+				}
 			}
 		})
 	}

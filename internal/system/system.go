@@ -114,26 +114,20 @@ type Config struct {
 	// Result.Host. Host readings are inherently non-deterministic, so this
 	// is off by default and never part of the metrics snapshot.
 	SelfProfile bool
-	// FastForward enables idle-cycle fast-forward in the engine: when every
-	// core is OS-suspended or head-of-ROB stalled and every DRAM channel is
-	// drained, the clock jumps straight to the next event or hook boundary
-	// with bulk stall accounting. The run's observable output (Snapshot,
-	// Timeline, traces) is byte-identical either way; DefaultConfig enables
-	// it, and the CLIs expose -no-ff to switch it off.
+	// FastForward enables per-ticker dormancy in the engine: a core that is
+	// OS-suspended or head-of-ROB stalled, and a DRAM device with nothing
+	// to issue, stop ticking until an event gives them work (the core
+	// charges the slept cycles in bulk), and when nothing is awake the
+	// clock jumps straight to the next event, timed wake or hook boundary.
+	// The run's observable output (Snapshot, Timeline, traces) is
+	// byte-identical either way; DefaultConfig enables it, and the CLIs
+	// expose -no-ff to switch it off.
 	FastForward bool
 	// Engine selects the event-queue implementation driving the run:
 	// sim.KindWheel (the default timing wheel) or sim.KindHeap (the
 	// binary-heap oracle). Results are byte-identical across engines; the
 	// knob exists for differential testing and performance comparison.
 	Engine sim.Kind
-	// Workers enables the parallel tick phase: per-core shards (cpu, TLB,
-	// L1/L2, workload stream) tick concurrently on this many workers
-	// (including the coordinator), with every cross-domain effect deferred
-	// to the per-cycle barrier and replayed in deterministic shard order.
-	// 0 or 1 runs fully sequentially; results are byte-identical at every
-	// worker count (see DESIGN.md, "Parallel engine"). The CLIs expose
-	// this as -parallel.
-	Workers int
 }
 
 // DefaultSpanSampleEvery is the span sampling period used when
@@ -173,9 +167,6 @@ type Machine struct {
 	cfg      Config
 	workload string
 	eng      *sim.Engine
-	// coreEngs[i] is the engine core i's shard components are wired to:
-	// the root engine when sequential, a sim shard facade when Workers > 1.
-	coreEngs []*sim.Engine
 	hbm      *dram.Device
 	ddr      *dram.Device
 	mm       *osmem.Manager
@@ -199,12 +190,8 @@ type Machine struct {
 	// memOps[coreID] is the freelist of pooled translate-then-access
 	// operations (port.Load / port.Store): the per-access TLB callback is a
 	// prebuilt closure on a recycled op, so the load/store hot path
-	// allocates nothing. The pools are per core so that ports on concurrent
-	// tick-phase shards never share a freelist.
+	// allocates nothing.
 	memOps [][]*memOp
-	// noteOps[coreID] pools the deferred NoteStore calls a parallel tick
-	// phase buffers (sequential runs call the scheme directly).
-	noteOps [][]*noteOp
 }
 
 // memOp is one pooled in-flight load or store, carried across the TLB
@@ -235,46 +222,6 @@ func (m *Machine) getMemOp(coreID int) *memOp {
 	return op
 }
 
-// noteOp is one pooled deferred store notification: during a parallel tick
-// phase the scheme's NoteStore (shared-domain dirty tracking) must not run
-// on a worker, so the call is buffered and replayed at the barrier in shard
-// order — the exact order sequential core ticks would have produced.
-//
-//nomad:owner shared
-type noteOp struct {
-	m      *Machine
-	coreID int
-	e      tlb.Entry
-	fn     func()
-}
-
-func (m *Machine) getNoteOp(coreID int) *noteOp {
-	pool := m.noteOps[coreID]
-	if n := len(pool); n > 0 {
-		op := pool[n-1]
-		m.noteOps[coreID] = pool[:n-1]
-		return op
-	}
-	op := &noteOp{m: m, coreID: coreID} //nomadlint:ignore poolalloc -- freelist constructor: the one allocation the pool amortizes
-	op.fn = func() {
-		op.m.scheme.NoteStore(op.coreID, op.e)
-		op.m.noteOps[op.coreID] = append(op.m.noteOps[op.coreID], op)
-	}
-	return op
-}
-
-//nomad:port store notification: core-side retirement marks shared dirty state; deferred to the tick barrier in parallel mode
-func (m *Machine) noteStore(coreID int, e tlb.Entry) {
-	eng := m.coreEngs[coreID]
-	if !eng.Deferring() {
-		m.scheme.NoteStore(coreID, e)
-		return
-	}
-	op := m.getNoteOp(coreID)
-	op.e = e
-	eng.Defer(op.fn)
-}
-
 // runMemOp continues a load/store after translation. The op is recycled
 // first (the L1 access may re-enter Load/Store synchronously), then the
 // request proceeds into the SRAM hierarchy.
@@ -286,25 +233,16 @@ func (m *Machine) runMemOp(op *memOp, e tlb.Entry) {
 
 	addr := mem.TagSpace(mem.AddrInFrame(e.Frame, mem.PageOffset(vaddr)), e.Space)
 	if write {
-		m.noteStore(coreID, e)
+		m.scheme.NoteStore(coreID, e)
 		req := mem.Request{Addr: addr, Write: true, Core: coreID, Kind: mem.KindDemand}
 		m.l1s[coreID].Access(&req, nil)
 		return
 	}
 	if probe != nil {
-		probe.Cause = mem.StallSRAM
+		probe.SetCause(mem.StallSRAM)
 		if probe.SpanID != 0 {
-			sp := metrics.Span{ID: probe.SpanID, Kind: metrics.SpanTLB,
-				Core: probe.Core, Start: start, End: m.eng.Now()}
-			// The span ring is shared-domain: emit through the barrier when
-			// this runs inside a parallel tick (L1-TLB hits resolve
-			// synchronously inside the core's tick). Sampled loads only, so
-			// the closure is off the per-access hot path.
-			if eng := m.coreEngs[coreID]; eng.Deferring() {
-				eng.Defer(func() { m.reg.Spans().Emit(sp) })
-			} else {
-				m.reg.Spans().Emit(sp)
-			}
+			m.reg.Spans().Emit(metrics.Span{ID: probe.SpanID, Kind: metrics.SpanTLB,
+				Core: probe.Core, Start: start, End: m.eng.Now()})
 		}
 	}
 	req := mem.Request{Addr: addr, Core: coreID, Kind: mem.KindDemand, Probe: probe}
@@ -322,7 +260,7 @@ func (t threadAdapter) Unblock() { t.c.Unblock() }
 // (L1s and L2s first, then the LLC, so dirty data funnels downward).
 type flusher struct{ m *Machine }
 
-//nomad:port migration flush: the channel-side OS engine invalidates core-side SRAM lines; becomes a barrier-synchronized broadcast
+//nomad:port migration flush: the channel-side OS engine invalidates core-side SRAM lines
 func (f flusher) FlushFrame(cfn uint64) {
 	addr := mem.TagSpace(mem.FrameAddr(cfn), mem.SpaceCache)
 	for _, c := range f.m.l1s {
@@ -342,27 +280,6 @@ func (s shootdowner) Shootdown(coreID int, vpn uint64) {
 	s.m.tlbs[coreID].Invalidate(vpn)
 }
 
-// walkProxy interposes on the TLB's Walker in parallel mode: a page-table
-// walk started inside a core's tick (TLB miss) enters the shared scheme
-// front-end, so the call is deferred to the tick barrier. Every scheme's
-// walker resolves done through a scheduled event at least WalkLatency cycles
-// out, never synchronously, so moving the call to the barrier — same cycle,
-// same arguments — is invisible to the core.
-type walkProxy struct {
-	eng  *sim.Engine
-	real tlb.Walker
-}
-
-//nomad:port tlb walk: core-side miss enters the shared OS walker; deferred to the tick barrier in parallel mode
-func (w walkProxy) Walk(core int, vaddr uint64, done func(tlb.Entry)) {
-	if !w.eng.Deferring() {
-		w.real.Walk(core, vaddr, done)
-		return
-	}
-	real := w.real
-	w.eng.Defer(func() { real.Walk(core, vaddr, done) })
-}
-
 // port is one core's path into the memory system: translate, then L1.
 type port struct {
 	m      *Machine
@@ -371,7 +288,7 @@ type port struct {
 
 func (p port) Load(coreID int, vaddr uint64, probe *mem.Probe, done func()) {
 	if probe != nil {
-		probe.Cause = mem.StallTLB
+		probe.SetCause(mem.StallTLB)
 	}
 	op := p.m.getMemOp(p.coreID)
 	op.start = p.m.eng.Now()
@@ -401,26 +318,14 @@ func New(cfg Config, spec workload.Spec) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, workload: spec.Abbr,
-		eng: sim.New(sim.WithScheduler(sched), sim.Parallel(cfg.Workers))}
+	m := &Machine{cfg: cfg, workload: spec.Abbr, eng: sim.New(sim.WithScheduler(sched))}
 	m.eng.SetFastForward(cfg.FastForward)
-	// Channel-domain tickers register on the root engine: the coordinator
-	// runs them in registration order before dispatching the core shards
-	// (dram.Device.issue writes core-owned probe state and the shared trace
-	// ring at tick time, so the devices cannot tick on a worker).
+	// The DRAM devices register first, so they tick before the cores:
+	// issue rewrites the causes of the loads the cores stall on.
 	m.hbm = dram.New(m.eng, cfg.HBM)
 	m.ddr = dram.New(m.eng, cfg.DDR)
 	m.mm = osmem.New(cfg.Cores, cfg.CacheFrames)
-	// Core-domain shards, created in core order — shard tick order must
-	// match the registration order a sequential build uses. NewShard returns
-	// the root engine itself when Workers <= 1, so the sequential wiring is
-	// exactly what it always was.
-	m.coreEngs = make([]*sim.Engine, cfg.Cores)
-	for i := range m.coreEngs {
-		m.coreEngs[i] = m.eng.NewShard()
-	}
 	m.memOps = make([][]*memOp, cfg.Cores)
-	m.noteOps = make([][]*noteOp, cfg.Cores)
 
 	// Cores are built first (the OS front-end needs thread handles), but
 	// their memory ports are wired afterwards.
@@ -464,15 +369,10 @@ func New(cfg Config, spec workload.Spec) (*Machine, error) {
 	m.tlbs = make([]*tlb.TLB, cfg.Cores)
 	dir := m.scheme.Directory()
 	for i := 0; i < cfg.Cores; i++ {
-		ce := m.coreEngs[i]
-		m.l2s[i] = cache.New(ce, cfg.L2, m.llc)
-		m.l1s[i] = cache.New(ce, cfg.L1, m.l2s[i])
-		wk := m.scheme.Walker()
-		if ce != m.eng {
-			wk = walkProxy{eng: ce, real: wk}
-		}
-		m.tlbs[i] = tlb.New(ce, i, cfg.TLB, wk, dir)
-		ce.AddTicker(m.cores[i])
+		m.l2s[i] = cache.New(m.eng, cfg.L2, m.llc)
+		m.l1s[i] = cache.New(m.eng, cfg.L1, m.l2s[i])
+		m.tlbs[i] = tlb.New(m.eng, i, cfg.TLB, m.scheme.Walker(), dir)
+		m.cores[i].Attach(m.eng)
 	}
 	switch sc := m.scheme.(type) {
 	case *schemes.NOMAD:
@@ -638,9 +538,6 @@ func (m *Machine) Run() (*Result, error) {
 // deterministic window boundary, so the partial snapshot is a well-formed
 // prefix of the full run (harness.Execute keeps it for partial output).
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
-	// Parallel tick workers (if any) spin between cycles; park them when
-	// the run leaves, however it leaves.
-	defer m.eng.StopWorkers()
 	cfg := m.cfg
 	if cfg.SelfProfile && m.prof == nil {
 		m.prof = metrics.NewHostProfiler(0)
