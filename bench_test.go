@@ -96,7 +96,7 @@ func BenchmarkSimulatorThroughputTimeline(b *testing.B) {
 		Scheme:             SchemeNOMAD,
 		WarmupInstructions: 1,
 		ROIInstructions:    200_000,
-		Timeline:           true,
+		Telemetry:          Telemetry{Timeline: true},
 	})
 }
 

@@ -12,10 +12,9 @@
 //	bench -compare latest          # diff against newest committed bench/BENCH_*.json
 //	bench -gobench ''              # skip the go-test benchmarks (fastest)
 //	bench -fail-on-regress         # exit 1 when a regression exceeds threshold
-//	bench -engine heap             # measure on the binary-heap oracle
 //
 // The shared CLI flags (internal/cliflags) configure the measured runs:
-// -engine and -no-ff select the engine variant, -timeline measures with
+// -no-ff switches dormancy off, -timeline measures with
 // interval telemetry enabled, and -trace FILE additionally writes a Perfetto
 // trace of one NOMAD run under the benchmark configuration (useful for
 // seeing where simulated time goes). -profile is accepted for interface
@@ -346,20 +345,19 @@ type Summary struct {
 
 // measureConfig is the simulation configuration every bench measurement
 // runs: one-instruction warmup, the short bench ROI, self-profiling on (the
-// measurements ARE the host profile), and the engine/telemetry variant the
+// measurements ARE the host profile), and the dormancy/telemetry variant the
 // shared CLI flags selected.
 func measureConfig(cf *cliflags.Common, scheme nomad.Scheme) nomad.Config {
 	return nomad.Config{
 		Scheme:             scheme,
 		WarmupInstructions: 1,
 		ROIInstructions:    benchROI,
-		Engine:             nomad.EngineKind(cf.Engine),
-		NoFastForward:      cf.NoFF,
 		Telemetry: nomad.Telemetry{
-			SelfProfile:      true,
-			Timeline:         cf.Timeline,
-			TimelineInterval: cf.Interval,
-			TimelineMetrics:  cf.Metrics(),
+			SelfProfile:     true,
+			NoFastForward:   cf.NoFF,
+			Timeline:        cf.Timeline,
+			Interval:        cf.Interval,
+			TimelineMetrics: cf.Metrics(),
 			// Digest chains are always on so every E2E entry carries the
 			// behavioral fingerprint comparisons attribute regressions
 			// with; runDigestOverhead turns them off for its base side.
@@ -573,8 +571,7 @@ func runObsOverhead(cf *cliflags.Common, reps int) (*ObsOverhead, error) {
 	cfg.Scheme = system.SchemeNOMAD
 	cfg.WarmupInstructions = 1
 	cfg.ROIInstructions = benchROI
-	cfg.Engine = cf.Kind()
-	cfg.FastForward = !cf.NoFF
+	cfg.NoFastForward = cf.NoFF
 	cfg.SelfProfile = true
 
 	measure := func(tracker *obs.RunTracker, rep int) (float64, error) {

@@ -80,7 +80,7 @@ func main() {
 	opts := harness.Options{
 		Fast: *fast, Parallelism: *parallel, Verbose: *verbose, Logger: logger,
 	}
-	cf.ApplyOptions(&opts)
+	cf.Apply(&opts.Telemetry)
 	if *progress {
 		opts.Progress = func(key string) func(system.Progress) {
 			return system.ProgressPrinter(os.Stderr, key)

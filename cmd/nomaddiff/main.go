@@ -31,7 +31,6 @@ import (
 	"nomad/internal/diag"
 	"nomad/internal/harness"
 	"nomad/internal/metrics"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 	"nomad/internal/workload"
 )
@@ -46,7 +45,6 @@ func run() int {
 		bisect  = flag.Bool("bisect", false, "replay the divergent prefix with event tracing and write Perfetto traces (implies -run)")
 		fast    = flag.Bool("fast", false, "with -run: shrink warmup/ROI for quick runs")
 		noFF    = flag.Bool("no-ff", false, "with -run: disable idle-cycle fast-forward (results are byte-identical either way)")
-		engine  = flag.String("engine", "", "with -run: event-queue implementation (wheel or heap)")
 		top     = flag.Int("top", 10, "show at most this many metric deltas per table")
 		out     = flag.String("out", ".", "with -bisect: directory for the per-run Perfetto traces")
 		format  = flag.String("format", "text", "output format: text or json")
@@ -54,10 +52,6 @@ func run() int {
 	flag.Parse()
 	if *format != "text" && *format != "json" {
 		fmt.Fprintf(os.Stderr, "unknown format %q; use text, json\n", *format)
-		return 2
-	}
-	if _, err := sim.NewScheduler(sim.Kind(*engine)); err != nil {
-		fmt.Fprintf(os.Stderr, "-engine %q: use %q or %q\n", *engine, sim.KindWheel, sim.KindHeap)
 		return 2
 	}
 	if flag.NArg() != 2 {
@@ -73,12 +67,12 @@ func run() int {
 		return diffFiles(argA, argB, *format, *top)
 	}
 
-	specA, err := parseSpec(argA, *fast, *noFF, *engine)
+	specA, err := parseSpec(argA, *fast, *noFF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	specB, err := parseSpec(argB, *fast, *noFF, *engine)
+	specB, err := parseSpec(argB, *fast, *noFF)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
@@ -89,8 +83,9 @@ func run() int {
 	return runDiff(specA, specB, *format, *top)
 }
 
-// parseSpec builds a diag.RunSpec from "scheme/workload[/seed]".
-func parseSpec(s string, fast, noFF bool, engine string) (diag.RunSpec, error) {
+// parseSpec builds a diag.RunSpec from "scheme/workload[/seed]" on the
+// experiment harness's base configuration (scaled down when fast).
+func parseSpec(s string, fast, noFF bool) (diag.RunSpec, error) {
 	parts := strings.Split(s, "/")
 	if len(parts) != 2 && len(parts) != 3 {
 		return diag.RunSpec{}, fmt.Errorf("run spec %q: want scheme/workload[/seed]", s)
@@ -99,7 +94,7 @@ func parseSpec(s string, fast, noFF bool, engine string) (diag.RunSpec, error) {
 	if !ok {
 		return diag.RunSpec{}, fmt.Errorf("run spec %q: unknown workload %q", s, parts[1])
 	}
-	cfg := system.DefaultConfig()
+	cfg := harness.Options{Fast: fast, Telemetry: system.Telemetry{NoFastForward: noFF}}.BaseConfig()
 	cfg.Scheme = system.SchemeName(parts[0])
 	known := false
 	for _, sc := range system.AllSchemes() {
@@ -118,12 +113,6 @@ func parseSpec(s string, fast, noFF bool, engine string) (diag.RunSpec, error) {
 		}
 		cfg.Seed = seed
 	}
-	if fast {
-		cfg.WarmupInstructions = 300_000
-		cfg.ROIInstructions = 400_000
-	}
-	cfg.FastForward = !noFF
-	cfg.Engine = sim.Kind(engine)
 	return diag.RunSpec{Key: s, Cfg: cfg, Spec: sp}, nil
 }
 

@@ -52,24 +52,24 @@ func TestLoadSnapshotRejects(t *testing.T) {
 }
 
 func TestParseSpec(t *testing.T) {
-	sp, err := parseSpec("TDC/cact/7", true, true, "heap")
+	sp, err := parseSpec("TDC/cact/7", true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sp.Cfg.Scheme != "TDC" || sp.Spec.Abbr != "cact" || sp.Cfg.Seed != 7 {
 		t.Errorf("spec = %+v", sp.Cfg)
 	}
-	if sp.Cfg.FastForward || sp.Cfg.Engine != "heap" || sp.Cfg.ROIInstructions != 400_000 {
+	if !sp.Cfg.NoFastForward || sp.Cfg.ROIInstructions != 400_000 {
 		t.Errorf("flags not applied: %+v", sp.Cfg)
 	}
-	if sp, err := parseSpec("NOMAD/pr", false, false, ""); err != nil || sp.Cfg.Seed == 0 {
+	if sp, err := parseSpec("NOMAD/pr", false, false); err != nil || sp.Cfg.Seed == 0 {
 		// Seed stays at the config default when the spec omits it.
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, bad := range []string{"TDC", "Bogus/cact", "TDC/bogus", "TDC/cact/x", "a/b/c/d"} {
-		if _, err := parseSpec(bad, false, false, ""); err == nil {
+		if _, err := parseSpec(bad, false, false); err == nil {
 			t.Errorf("%q accepted", bad)
 		}
 	}

@@ -38,7 +38,6 @@ func main() {
 		roi      = flag.Uint64("roi", 0, "override ROI instructions per core")
 		seed     = flag.Uint64("seed", 0, "override workload seed")
 		touch    = flag.Uint64("touch", 0, "selective caching: cache on Nth walk (OS-managed schemes)")
-		asJSON   = flag.Bool("json", false, "emit the result as JSON (deprecated alias for -format json)")
 		progress = flag.Bool("progress", false, "print simulated-cycle progress and ETA to stderr at each interval tick")
 		list     = flag.Bool("list", false, "list workloads and exit")
 	)
@@ -86,7 +85,7 @@ func main() {
 		cfg.Seed = *seed
 	}
 	cfg.Frontend.CacheTouchThreshold = *touch
-	cf.ApplySystem(&cfg)
+	cf.Apply(&cfg.Telemetry)
 	tracker := cf.StartObs(logger)
 	cf.StartPprof(os.Stderr)
 
@@ -147,7 +146,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote Perfetto trace to %s — open at https://ui.perfetto.dev\n", cf.Trace)
 	}
 
-	if *asJSON || cf.Format == "json" {
+	if cf.Format == "json" {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		// The deterministic result plus the host-side manifest, as sibling
@@ -219,7 +218,7 @@ func main() {
 			dc.Windows(), dc.Interval, dc.Final())
 	}
 	if tl := r.Metrics.Timeline; tl != nil {
-		fmt.Printf("timeline            %d windows x %d cycles, %d metrics (full columns with -json)\n",
+		fmt.Printf("timeline            %d windows x %d cycles, %d metrics (full columns with -format json)\n",
 			tl.Windows(), tl.Interval, len(tl.Metrics))
 		printTimelineDigest(tl)
 	}
@@ -231,7 +230,7 @@ func main() {
 }
 
 // timelineDigestCols are the whole-system columns the text rendering shows;
-// the full per-core/per-kind set is available under -json.
+// the full per-core/per-kind set is available under -format json.
 var timelineDigestCols = []string{"sim.ipc", "dc.hit_rate", "hbm.row_conflict_rate", "backend.pcshr_highwater"}
 
 // printTimelineDigest renders a compact per-window table of the digest

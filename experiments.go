@@ -27,27 +27,10 @@ type ExperimentOptions struct {
 	// Log receives verbose progress output. Nil discards it, except under
 	// RunExperiment, which defaults Log to its output writer.
 	Log io.Writer
-	// TraceDepth/SpanDepth/SpanSampleEvery enable event and span capture
-	// in every underlying run (see Config); each run's Result then
-	// supports WriteTrace.
-	TraceDepth      int
-	SpanDepth       int
-	SpanSampleEvery uint64
-	// Timeline enables interval time-series capture in every underlying run
-	// (see Config.Timeline); TimelineInterval and TimelineMetrics carry the
-	// same meaning as their Config counterparts.
-	Timeline         bool
-	TimelineInterval uint64
-	TimelineMetrics  []string
-	// Digests enables interval digest chains in every underlying run (see
-	// Telemetry.Digests).
-	Digests bool
-	// SelfProfile attaches host-side simulator profiling to every run
-	// (Result.Host).
-	SelfProfile bool
-	// NoFastForward disables idle-cycle fast-forward in every run (see
-	// Config.NoFastForward); results are byte-identical either way.
-	NoFastForward bool
+	// Telemetry holds the run switches applied to every underlying run,
+	// with the same meaning as in Config; with TraceDepth or SpanDepth set,
+	// each run's Result supports WriteTrace.
+	Telemetry
 }
 
 // Experiments lists every reproducible table and figure.
@@ -112,25 +95,22 @@ func RunExperimentResult(ctx context.Context, id string, opts ExperimentOptions)
 	if opts.Log != nil {
 		logger = slog.New(slog.NewTextHandler(opts.Log, nil))
 	}
-	rep, err := e.Run(ctx, harness.Options{
-		Fast:            opts.Fast,
-		Parallelism:     opts.Parallelism,
-		Verbose:         opts.Verbose,
-		Logger:          logger,
-		TraceDepth:      opts.TraceDepth,
-		SpanDepth:       opts.SpanDepth,
-		SpanSampleEvery: opts.SpanSampleEvery,
-		Timeline:        opts.Timeline,
-		Interval:        opts.TimelineInterval,
-		TimelineMetrics: opts.TimelineMetrics,
-		Digests:         opts.Digests,
-		SelfProfile:     opts.SelfProfile,
-		NoFastForward:   opts.NoFastForward,
-	})
+	rep, err := e.Run(ctx, opts.harnessOptions(logger))
 	if err != nil {
 		return nil, err
 	}
 	return fromReport(rep), nil
+}
+
+// harnessOptions is the harness view of opts, with logger as its Logger.
+func (opts ExperimentOptions) harnessOptions(logger *slog.Logger) harness.Options {
+	return harness.Options{
+		Fast:        opts.Fast,
+		Parallelism: opts.Parallelism,
+		Verbose:     opts.Verbose,
+		Logger:      logger,
+		Telemetry:   opts.Telemetry,
+	}
 }
 
 // RunExperiment regenerates one paper artifact, writing its text rendering

@@ -1,8 +1,9 @@
 // Package cliflags centralises the command-line flags the nomad CLIs share,
 // so cmd/nomadsim, cmd/experiments, and cmd/bench parse
-// -timeline/-trace/-profile/-no-ff/-format/-engine (and friends) with one
-// canonical name, default, and help string each, instead of keeping three
-// hand-rolled copies that drift apart.
+// -timeline/-trace/-profile/-no-ff/-format (and friends) with one canonical
+// name, default, and help string each, instead of keeping three hand-rolled
+// copies that drift apart. Apply writes the run-switch flags into the one
+// system.Telemetry struct every API layer embeds.
 package cliflags
 
 import (
@@ -15,9 +16,7 @@ import (
 	_ "net/http/pprof"
 	"strings"
 
-	"nomad/internal/harness"
 	"nomad/internal/obs"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 )
 
@@ -28,8 +27,8 @@ const (
 	TraceSpanDepth  = 1 << 15
 )
 
-// Common holds the parsed shared flags. Each CLI applies the subset that is
-// meaningful to it through the Apply helpers; parsing is identical
+// Common holds the parsed shared flags. Each CLI applies the run switches
+// through Apply and reads the rest directly; parsing is identical
 // everywhere.
 type Common struct {
 	// Timeline, Interval, TimelineMetrics configure interval time-series
@@ -46,9 +45,6 @@ type Common struct {
 	Profile bool
 	// NoFF disables idle-cycle fast-forward (-no-ff).
 	NoFF bool
-	// Engine names the event-queue implementation (-engine): "" or
-	// "wheel" for the timing wheel, "heap" for the binary-heap oracle.
-	Engine string
 	// Format selects the output rendering (-format); each CLI validates
 	// it against its supported set with CheckFormat.
 	Format string
@@ -67,13 +63,12 @@ type Common struct {
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{}
 	fs.BoolVar(&c.Timeline, "timeline", false, "capture interval time-series telemetry (per-window IPC, hit rates, bandwidth)")
-	fs.Uint64Var(&c.Interval, "interval", 0, "timeline/progress window in cycles (0 = 100000)")
+	fs.Uint64Var(&c.Interval, "interval", 0, "timeline/digest/progress window in cycles (0 = 100000)")
 	fs.StringVar(&c.TimelineMetrics, "timeline-metrics", "", "comma-separated name prefixes restricting timeline columns (e.g. core.,hbm.gbs.)")
 	fs.BoolVar(&c.Digests, "digests", false, "capture interval digest chains (per-window chained registry digests; compare runs with nomaddiff)")
 	fs.StringVar(&c.Trace, "trace", "", "write a Perfetto trace to this file (open at ui.perfetto.dev)")
 	fs.BoolVar(&c.Profile, "profile", false, "self-profile the simulator (wall-clock cycles/sec, heap, GC pauses)")
 	fs.BoolVar(&c.NoFF, "no-ff", false, "disable idle-cycle fast-forward (results are byte-identical either way)")
-	fs.StringVar(&c.Engine, "engine", "", "event-queue implementation: wheel (default) or heap (the differential-testing oracle)")
 	fs.StringVar(&c.Format, "format", "text", "output format")
 	fs.StringVar(&c.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. :6060) while running")
 	fs.StringVar(&c.HTTP, "http", "", "serve live introspection on this address (e.g. :6060): /metrics, /runs, /runs/{key}/timeline, /debug/pprof")
@@ -81,13 +76,10 @@ func Register(fs *flag.FlagSet) *Common {
 	return c
 }
 
-// Check validates the flag values that have a closed domain: -engine, and
-// -format against the formats this CLI supports. It returns a user-facing
-// error (the caller prints it and exits 2).
+// Check validates the flag values that have a closed domain: -http,
+// -log-format, and -format against the formats this CLI supports. It
+// returns a user-facing error (the caller prints it and exits 2).
 func (c *Common) Check(formats ...string) error {
-	if _, err := sim.NewScheduler(sim.Kind(c.Engine)); err != nil {
-		return fmt.Errorf("-engine %q: use %q or %q", c.Engine, sim.KindWheel, sim.KindHeap)
-	}
 	if c.HTTP != "" {
 		if _, _, err := net.SplitHostPort(c.HTTP); err != nil {
 			return fmt.Errorf("-http %q: want host:port or :port", c.HTTP)
@@ -104,9 +96,6 @@ func (c *Common) Check(formats ...string) error {
 	return fmt.Errorf("unknown format %q; use %s", c.Format, strings.Join(formats, ", "))
 }
 
-// Kind returns the -engine selection as a sim.Kind.
-func (c *Common) Kind() sim.Kind { return sim.Kind(c.Engine) }
-
 // Metrics returns the -timeline-metrics prefixes, nil when unset.
 func (c *Common) Metrics() []string {
 	if c.TimelineMetrics == "" {
@@ -115,35 +104,20 @@ func (c *Common) Metrics() []string {
 	return strings.Split(c.TimelineMetrics, ",")
 }
 
-// ApplySystem writes the shared knobs into a system.Config (cmd/nomadsim).
-func (c *Common) ApplySystem(cfg *system.Config) {
+// Apply writes the run-switch flags into t: -trace (capture at the standard
+// depths), -timeline, -interval, -timeline-metrics, -digests, -profile and
+// -no-ff. Switches without a flag (SpanSampleEvery) keep their value.
+func (c *Common) Apply(t *system.Telemetry) {
 	if c.Trace != "" {
-		cfg.TraceDepth = TraceEventDepth
-		cfg.SpanDepth = TraceSpanDepth
+		t.TraceDepth = TraceEventDepth
+		t.SpanDepth = TraceSpanDepth
 	}
-	cfg.Timeline = c.Timeline
-	cfg.Interval = c.Interval
-	cfg.TimelineMetrics = c.Metrics()
-	cfg.Digests = c.Digests
-	cfg.SelfProfile = c.Profile
-	cfg.FastForward = !c.NoFF
-	cfg.Engine = c.Kind()
-}
-
-// ApplyOptions writes the shared knobs into harness.Options
-// (cmd/experiments).
-func (c *Common) ApplyOptions(o *harness.Options) {
-	if c.Trace != "" {
-		o.TraceDepth = TraceEventDepth
-		o.SpanDepth = TraceSpanDepth
-	}
-	o.Timeline = c.Timeline
-	o.Interval = c.Interval
-	o.TimelineMetrics = c.Metrics()
-	o.Digests = c.Digests
-	o.SelfProfile = c.Profile
-	o.NoFastForward = c.NoFF
-	o.Engine = c.Kind()
+	t.Timeline = c.Timeline
+	t.Interval = c.Interval
+	t.TimelineMetrics = c.Metrics()
+	t.Digests = c.Digests
+	t.SelfProfile = c.Profile
+	t.NoFastForward = c.NoFF
 }
 
 // Logger builds the host-side structured logger writing to w in the

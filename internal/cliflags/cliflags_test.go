@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nomad/internal/harness"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 )
 
@@ -29,7 +27,7 @@ func TestDefaults(t *testing.T) {
 	if c.Timeline || c.Interval != 0 || c.TimelineMetrics != "" || c.Trace != "" {
 		t.Errorf("timeline defaults wrong: %+v", c)
 	}
-	if c.Profile || c.NoFF || c.Engine != "" || c.Pprof != "" || c.HTTP != "" {
+	if c.Profile || c.NoFF || c.Pprof != "" || c.HTTP != "" {
 		t.Errorf("host defaults wrong: %+v", c)
 	}
 	if c.Format != "text" || c.LogFormat != "text" {
@@ -40,39 +38,14 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-func TestEngineFlag(t *testing.T) {
-	for _, eng := range []string{"", "wheel", "heap"} {
-		c := parse(t, "-engine", eng)
-		if err := c.Check("text"); err != nil {
-			t.Errorf("-engine %q rejected: %v", eng, err)
-		}
-	}
-	c := parse(t, "-engine", "heap")
-	if c.Kind() != sim.KindHeap {
-		t.Errorf("Kind() = %q, want heap", c.Kind())
-	}
-	c = parse(t, "-engine", "quantum")
-	if err := c.Check("text"); err == nil || !strings.Contains(err.Error(), "-engine") {
-		t.Errorf("bad engine not rejected: %v", err)
-	}
-}
-
 func TestNoFFFlag(t *testing.T) {
-	c := parse(t, "-no-ff")
-	var cfg system.Config
-	c.ApplySystem(&cfg)
-	if cfg.FastForward {
-		t.Error("-no-ff did not disable fast-forward in system.Config")
+	var tel system.Telemetry
+	parse(t, "-no-ff").Apply(&tel)
+	if !tel.NoFastForward {
+		t.Error("-no-ff did not set NoFastForward")
 	}
-	var o harness.Options
-	c.ApplyOptions(&o)
-	if !o.NoFastForward {
-		t.Error("-no-ff did not set harness NoFastForward")
-	}
-	c = parse(t)
-	cfg = system.Config{}
-	c.ApplySystem(&cfg)
-	if !cfg.FastForward {
+	parse(t).Apply(&tel)
+	if tel.NoFastForward {
 		t.Error("fast-forward not on by default")
 	}
 }
@@ -128,10 +101,10 @@ func TestFormatValidation(t *testing.T) {
 
 func TestTraceEnablesCapture(t *testing.T) {
 	c := parse(t, "-trace", "out.json")
-	var cfg system.Config
-	c.ApplySystem(&cfg)
-	if cfg.TraceDepth != TraceEventDepth || cfg.SpanDepth != TraceSpanDepth {
-		t.Errorf("-trace did not set capture depths: %+v", cfg)
+	var tel system.Telemetry
+	c.Apply(&tel)
+	if tel.TraceDepth != TraceEventDepth || tel.SpanDepth != TraceSpanDepth {
+		t.Errorf("-trace did not set capture depths: %+v", tel)
 	}
 }
 

@@ -96,14 +96,6 @@ func (s *Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
-// StallRatio returns the fraction of cycles the thread was OS-suspended.
-func (s *Stats) StallRatio() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.OSBlockedCycles) / float64(s.Cycles)
-}
-
 //nomad:owner core
 //nomad:ephemeral load-queue slot working state; divergence surfaces in the registered stall-cause counters
 type loadSlot struct {
@@ -275,9 +267,6 @@ func (c *Core) Unblock() {
 
 // Blocked reports whether the thread is currently OS-suspended.
 func (c *Core) Blocked() bool { return c.blockCount > 0 }
-
-// OutstandingLoads reports in-flight loads (tests).
-func (c *Core) OutstandingLoads() int { return c.inFlight }
 
 // Tick advances the core one cycle.
 func (c *Core) Tick(now uint64) {

@@ -379,10 +379,6 @@ func (d *Device) enqueue(r *request, addr uint64, write bool, kind mem.Kind, pri
 	d.eng.Wake(d.tid)
 }
 
-// QueueLen returns the current queue length of channel ch (for tests and
-// back-pressure-aware callers).
-func (d *Device) QueueLen(ch int) int { return len(d.chans[ch].queue) }
-
 // Promote raises a queued request for the given 64 B block to the priority
 // class (critical-data-first for a demand that arrived after the request was
 // issued, e.g. an MSHR/PCSHR coalesce on an in-flight line fill). It reports

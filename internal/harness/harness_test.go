@@ -251,13 +251,13 @@ func TestOptionsBaseConfig(t *testing.T) {
 }
 
 func TestBaseConfigCarriesTelemetryOptions(t *testing.T) {
-	opts := Options{
+	opts := Options{Telemetry: system.Telemetry{
 		Timeline:        true,
 		Interval:        12_345,
 		TimelineMetrics: []string{"core.", "hbm."},
 		SelfProfile:     true,
 		TraceDepth:      7,
-	}
+	}}
 	cfg := opts.BaseConfig()
 	if !cfg.Timeline || cfg.Interval != 12_345 || !cfg.SelfProfile || cfg.TraceDepth != 7 {
 		t.Fatalf("options not carried into config: %+v", cfg)

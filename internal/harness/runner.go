@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"nomad/internal/obs"
-	"nomad/internal/sim"
 	"nomad/internal/system"
 	"nomad/internal/workload"
 )
@@ -37,33 +36,9 @@ type Options struct {
 	// nil discards it. Host-side only: nothing logged here derives from or
 	// feeds back into simulation state.
 	Logger *slog.Logger
-	// TraceDepth/SpanDepth, when positive, enable the typed event-trace
-	// ring and per-access latency spans in every run (see system.Config);
-	// each Result then carries a Trace dump for Perfetto export.
-	TraceDepth int
-	SpanDepth  int
-	// SpanSampleEvery overrides the span sampling period (0 = default).
-	SpanSampleEvery uint64
-	// Timeline enables interval time-series capture in every run; Interval
-	// overrides the window length in cycles (0 = sim.DefaultInterval) and
-	// TimelineMetrics restricts the collected columns by name prefix.
-	Timeline        bool
-	Interval        uint64
-	TimelineMetrics []string
-	// Digests enables interval digest chains in every run (see
-	// system.Config.Digests): one chained registry digest per interval
-	// window, for run comparison and divergence localization.
-	Digests bool
-	// SelfProfile attaches host-side simulator profiling to every run
-	// (Result.Host). Host readings are non-deterministic.
-	SelfProfile bool
-	// NoFastForward disables idle-cycle fast-forward in every run (see
-	// system.Config.FastForward); results are byte-identical either way.
-	NoFastForward bool
-	// Engine selects the event-queue implementation for every run ("" is
-	// the timing wheel; sim.KindHeap runs on the binary-heap oracle).
-	// Results are byte-identical across engines.
-	Engine sim.Kind
+	// Telemetry holds the run switches applied to every run's config
+	// (capture, host profiling, dormancy); see system.Telemetry.
+	system.Telemetry
 	// Progress, when non-nil, is called once per run with its key and must
 	// return a Machine.SetProgress callback (or nil). Callbacks fire on
 	// worker goroutines; system.ProgressPrinter returns a suitable one.
@@ -89,16 +64,7 @@ func (o Options) BaseConfig() system.Config {
 		cfg.WarmupInstructions = 300_000
 		cfg.ROIInstructions = 400_000
 	}
-	cfg.TraceDepth = o.TraceDepth
-	cfg.SpanDepth = o.SpanDepth
-	cfg.SpanSampleEvery = o.SpanSampleEvery
-	cfg.Timeline = o.Timeline
-	cfg.Interval = o.Interval
-	cfg.TimelineMetrics = o.TimelineMetrics
-	cfg.Digests = o.Digests
-	cfg.SelfProfile = o.SelfProfile
-	cfg.FastForward = !o.NoFastForward
-	cfg.Engine = o.Engine
+	cfg.Telemetry = o.Telemetry
 	return cfg
 }
 

@@ -1,9 +1,11 @@
 package lint
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -106,24 +108,43 @@ func wantDiags(t *testing.T, diags []Diagnostic, want ...[2]any) {
 	}
 }
 
-// TestRepoIsClean is the meta-test: nomadlint must exit clean on the module
-// that ships it, with the committed inventory. Skipped under -short (it
-// type-checks the whole module, including stdlib imports from source).
-func TestRepoIsClean(t *testing.T) {
+var (
+	repoOnce sync.Once
+	repoMod  *Module
+	repoErr  error
+)
+
+// loadRepo type-checks the module that ships the linter once per test
+// binary and hands every whole-module test the same Module: Run,
+// InventoryLines and OwnershipInventoryLines only read it, and one load
+// costs seconds. It skips under -short (the load type-checks the whole
+// module, including stdlib imports from source).
+func loadRepo(t *testing.T) *Module {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("whole-module lint is not a -short test")
 	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
+	repoOnce.Do(func() {
+		root, err := filepath.Abs(filepath.Join("..", ".."))
+		if err == nil {
+			_, err = os.Stat(filepath.Join(root, "go.mod"))
+		}
+		if err != nil {
+			repoErr = fmt.Errorf("module root not found: %w", err)
+			return
+		}
+		repoMod, repoErr = LoadDir(root)
+	})
+	if repoErr != nil {
+		t.Fatalf("LoadDir: %v", repoErr)
 	}
-	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
-		t.Fatalf("module root not found at %s: %v", root, err)
-	}
-	mod, err := LoadDir(root)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
+	return repoMod
+}
+
+// TestRepoIsClean is the meta-test: nomadlint must exit clean on the module
+// that ships it, with the committed inventory.
+func TestRepoIsClean(t *testing.T) {
+	mod := loadRepo(t)
 	cfg := DefaultConfig()
 	cfg.MetricInventory = EmbeddedInventory()
 	cfg.OwnershipInventory = EmbeddedOwnershipInventory()
@@ -134,21 +155,9 @@ func TestRepoIsClean(t *testing.T) {
 }
 
 // TestInventoryMatchesTree guards the committed inventory file itself: the
-// lines collected from the live tree must equal the embedded file. Also not
-// a -short test.
+// lines collected from the live tree must equal the embedded file.
 func TestInventoryMatchesTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module lint is not a -short test")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadDir(root)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	got := strings.Join(InventoryLines(mod), "\n")
+	got := strings.Join(InventoryLines(loadRepo(t)), "\n")
 	want := strings.Join(EmbeddedInventory(), "\n")
 	if got != want {
 		t.Errorf("inventory drift; run `go run ./cmd/nomadlint -write-inventory ./...`\ncollected:\n%s\nembedded:\n%s", got, want)
@@ -159,18 +168,7 @@ func TestInventoryMatchesTree(t *testing.T) {
 // ownership inventory: the owner/port lines collected from the live tree
 // must equal the embedded ownership_inventory.txt.
 func TestOwnershipInventoryMatchesTree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module lint is not a -short test")
-	}
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := LoadDir(root)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-	got := strings.Join(OwnershipInventoryLines(mod), "\n")
+	got := strings.Join(OwnershipInventoryLines(loadRepo(t)), "\n")
 	want := strings.Join(EmbeddedOwnershipInventory(), "\n")
 	if got != want {
 		t.Errorf("ownership inventory drift; run `go run ./cmd/nomadlint -write-inventory ./...`\ncollected:\n%s\nembedded:\n%s", got, want)

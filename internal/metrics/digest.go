@@ -16,7 +16,7 @@
 // Determinism: values derive from simulated state only, the fold order is
 // the sorted registration order fixed at BeginDigests, and interval
 // boundaries are exact cycle counts re-anchored at MarkROI — the chain is
-// byte-identical across engines and fast-forward modes, same-seed.
+// byte-identical same-seed and across fast-forward on/off.
 package metrics
 
 import (
@@ -99,9 +99,6 @@ func sortedIdx(n int, name func(int) string) []int {
 	sort.Slice(idx, func(a, b int) bool { return name(idx[a]) < name(idx[b]) })
 	return idx
 }
-
-// DigestsActive reports whether BeginDigests has been called.
-func (r *Registry) DigestsActive() bool { return r.digActive }
 
 // sampleDigest closes the digest window ending at cycle now. SampleInterval
 // calls it from the engine's interval hook; it is a no-op until

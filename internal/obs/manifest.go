@@ -31,10 +31,13 @@ import (
 // cache (ROADMAP: simulation-as-a-service) stores results under.
 //
 // Host-only knobs that provably do not change results are excluded from the
-// hash: Engine and FastForward (byte-identity across engines and
-// fast-forward modes is the engine's load-bearing contract) and SelfProfile (host profiling never touches the
-// snapshot). Everything else in system.Config participates, including knobs
-// like TraceDepth or Timeline that change which sections a Snapshot carries.
+// hash: NoFastForward (byte-identity with dormancy on and off is the
+// engine's load-bearing contract) and SelfProfile (host profiling never
+// touches the snapshot). The telemetry periods are hashed resolved
+// (system.Telemetry.Resolved), so a period left 0 and its spelled-out
+// default address the same run. Everything else in system.Config
+// participates, including knobs like TraceDepth or Timeline that change
+// which sections a Snapshot carries.
 type Manifest struct {
 	// Address is "sha256:<hex>" over the canonical config/workload/build
 	// JSON (see Canonical).
@@ -115,11 +118,11 @@ func buildStamp() BuildStamp {
 // configuration and workload. It never runs a simulation; call it before,
 // after, or instead of one.
 func NewManifest(cfg system.Config, spec workload.Spec) *Manifest {
-	// Zero the result-neutral knobs so equivalent runs collide on purpose:
-	// wheel-vs-heap, fast-forward on/off, and profiling on/off all produce
-	// byte-identical snapshots.
-	cfg.Engine = ""
-	cfg.FastForward = false
+	// Resolve the default periods and zero the result-neutral knobs so
+	// equivalent runs collide on purpose: fast-forward on/off and profiling
+	// on/off produce byte-identical snapshots.
+	cfg.Telemetry = cfg.Telemetry.Resolved()
+	cfg.NoFastForward = false
 	cfg.SelfProfile = false
 	st := buildStamp()
 	doc, err := json.Marshal(canonicalDoc{

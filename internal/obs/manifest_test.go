@@ -5,7 +5,6 @@ import (
 	"regexp"
 	"testing"
 
-	"nomad/internal/sim"
 	"nomad/internal/system"
 	"nomad/internal/workload"
 )
@@ -31,11 +30,11 @@ func testSpec() workload.Spec {
 }
 
 // TestManifestStable is the content-address contract: the address is
-// identical across repeated computations and across every host-only knob
-// (engine, fast-forward, self-profiling) — backed by
-// actually running the
-// variants and checking their snapshots really are byte-identical — and
-// differs as soon as a result-bearing knob changes.
+// identical across repeated computations, across every host-only knob
+// (fast-forward, self-profiling) and across spelled-out default periods —
+// backed by actually running the variants and checking their snapshots
+// really are byte-identical — and differs as soon as a result-bearing knob
+// changes.
 func TestManifestStable(t *testing.T) {
 	spec := testSpec()
 	base := NewManifest(testConfig(), spec)
@@ -48,19 +47,19 @@ func TestManifestStable(t *testing.T) {
 		cfg  system.Config
 	}{
 		{"repeat", testConfig()},
-		{"heap engine", func() system.Config {
-			c := testConfig()
-			c.Engine = sim.KindHeap
-			return c
-		}()},
 		{"no fast-forward", func() system.Config {
 			c := testConfig()
-			c.FastForward = false
+			c.NoFastForward = true
 			return c
 		}()},
 		{"self-profile", func() system.Config {
 			c := testConfig()
 			c.SelfProfile = true
+			return c
+		}()},
+		{"spelled-out defaults", func() system.Config {
+			c := testConfig()
+			c.Telemetry = c.Telemetry.Resolved()
 			return c
 		}()},
 	}
@@ -122,7 +121,7 @@ func TestManifestFields(t *testing.T) {
 	if err := json.Unmarshal(man.Canonical(), &doc); err != nil {
 		t.Fatalf("canonical does not parse: %v", err)
 	}
-	if doc.Config.Engine != "" || doc.Config.FastForward || doc.Config.SelfProfile {
+	if doc.Config.NoFastForward || doc.Config.SelfProfile {
 		t.Errorf("canonical config retains host-only knobs: %+v", doc.Config)
 	}
 	if doc.Config.Seed != 7 {

@@ -109,8 +109,7 @@ func (m *Manager) CacheFrames() uint64 { return uint64(len(m.cpds)) }
 // FreeFrames returns the current number of free cache frames.
 func (m *Manager) FreeFrames() uint64 { return m.numFree }
 
-// Head and Tail expose the free-queue pointers (for tests and stats).
-func (m *Manager) Head() uint64 { return m.head }
+// Tail exposes the free-queue tail pointer.
 func (m *Manager) Tail() uint64 { return m.tail }
 
 // PTEOf returns the PTE for (core, vpn), demand-allocating the physical

@@ -47,7 +47,7 @@ type AccessStats struct {
 	CacheSpaceReads uint64
 	PhysSpaceReads  uint64
 	// Lat, when set (system wiring), gets one observation per read — the
-	// distribution behind AvgReadLatency (Fig. 9's right axis).
+	// read-latency distribution (Fig. 9's right axis).
 	Lat *metrics.Histogram
 
 	// recs is the readRec freelist: recordRead recycles its latency
@@ -89,14 +89,6 @@ func (s *AccessStats) getRec() *readRec {
 		}
 	}
 	return r
-}
-
-// AvgReadLatency returns the mean post-LLC read latency in cycles.
-func (s *AccessStats) AvgReadLatency() float64 {
-	if s.Reads == 0 {
-		return 0
-	}
-	return float64(s.ReadLatencySum) / float64(s.Reads)
 }
 
 // recordRead wraps done to account a read's latency (pooled: the returned

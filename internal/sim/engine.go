@@ -14,11 +14,9 @@
 // events. A given (configuration, workload, seed) therefore always produces
 // identical statistics, which the tests rely on.
 //
-// The event queue itself sits behind the Scheduler interface: the default
-// WheelScheduler (hierarchical timing wheel, allocation-free steady state)
-// and the original HeapScheduler (binary min-heap, kept as the
-// differential-testing oracle) are interchangeable via WithScheduler, and
-// the equivalence tests prove both produce byte-identical runs.
+// The event queue itself is a WheelScheduler (hierarchical timing wheel,
+// allocation-free steady state). The package's differential tests check it
+// against a binary min-heap oracle kept in test code.
 //
 // Dormancy: a ticker with nothing to do puts itself to sleep (Sleep) until a
 // cycle it names or until another component wakes it (Wake), and the engine
@@ -79,7 +77,7 @@ const noTicker = int(^uint(0) >> 1)
 type Engine struct {
 	now      uint64
 	executed uint64
-	sched    Scheduler
+	sched    *WheelScheduler
 	tickers  []Ticker
 	settlers []Settler
 
@@ -119,38 +117,15 @@ type Engine struct {
 // passes 0 to SetInterval.
 const DefaultInterval = 100_000
 
-// Option configures an Engine at construction.
-type Option func(*Engine)
-
-// WithScheduler selects the event-queue implementation. The default is the
-// timing wheel; pass NewHeapScheduler() (or NewScheduler(KindHeap)) to run
-// on the binary-heap oracle instead.
-func WithScheduler(s Scheduler) Option {
-	return func(e *Engine) {
-		if s != nil {
-			e.sched = s
-		}
-	}
-}
-
-// New returns an Engine at cycle 0 with no pending work, running on the
-// timing-wheel scheduler unless WithScheduler overrides it. Dormancy is
+// New returns an Engine at cycle 0 with no pending work. Dormancy is
 // enabled by default; it only takes effect for tickers that Sleep, so
 // engines driving plain Tickers tick them every cycle.
-func New(opts ...Option) *Engine {
-	e := &Engine{fastForward: true, nextWake: NoWork, ticking: noTicker, sched: NewWheelScheduler()}
-	for _, opt := range opts {
-		opt(e)
-	}
-	return e
+func New() *Engine {
+	return &Engine{fastForward: true, nextWake: NoWork, ticking: noTicker, sched: NewWheelScheduler()}
 }
 
 // Now returns the current cycle.
 func (e *Engine) Now() uint64 { return e.now }
-
-// SchedulerImpl returns the engine's event queue (for tests and tooling that
-// need to inspect which implementation is driving the run).
-func (e *Engine) SchedulerImpl() Scheduler { return e.sched }
 
 // AddTicker registers t, awake, and returns its ticker id for Sleep and
 // Wake. Tickers tick in registration order.
@@ -285,7 +260,7 @@ func (e *Engine) SampleWindow() uint64 {
 // boundary with the boundary cycle as now, and fast-forward jumps never
 // pass nextInterval (jump bounds on it), so hook-driven captures — the
 // metrics timeline and the interval digest chains — observe identical
-// machine state at identical cycles across engines and fast-forward modes.
+// machine state at identical cycles with fast-forward on and off.
 func (e *Engine) SetInterval(every uint64, fn func(now uint64)) {
 	if fn == nil {
 		e.intervalFn = nil

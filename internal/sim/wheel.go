@@ -5,6 +5,9 @@ import (
 	"math/bits"
 )
 
+// NoEvent is the NextDue return value of a scheduler with no pending events.
+const NoEvent = ^uint64(0)
+
 // Wheel geometry. The near wheel covers wheelSize consecutive cycles in
 // power-of-two buckets; anything further out sits in the overflow calendar
 // (a (cycle, seq) min-heap) until the window slides over it. 2048 cycles
@@ -19,7 +22,20 @@ const (
 	wheelWords = wheelSize / 64 // occupancy-bitmap words
 )
 
-// WheelScheduler is a hierarchical timing wheel: the default engine queue.
+// WheelScheduler is the engine's event queue, a hierarchical timing wheel.
+// It owns every scheduled closure and their clock-ordered dispatch, under
+// the determinism contract the engine relies on:
+//
+//   - Events for the same cycle dispatch in FIFO order of scheduling,
+//     including events scheduled from inside a running handler for the
+//     current cycle (they run after everything already queued there).
+//   - Advance(now) dispatches every event due at or before now before
+//     returning, in (cycle, FIFO) order.
+//   - NextDue never under-reports: there is no pending event earlier than
+//     its return value. Fast-forward jumps are bounded by it.
+//
+// The randomized differential tests check the contract against a binary
+// min-heap oracle that lives in the package's test code. Costs:
 //
 //   - Schedule/ScheduleAt is O(1): events within the wheel window append to
 //     the bucket of their cycle; farther events go to the overflow heap.
@@ -61,10 +77,12 @@ type WheelScheduler struct {
 // NewWheelScheduler returns an empty timing-wheel scheduler at cycle 0.
 func NewWheelScheduler() *WheelScheduler { return &WheelScheduler{} }
 
-// Schedule implements Scheduler.
+// Schedule enqueues fn delay cycles after the current cycle. A delay of 0
+// runs fn later within the current cycle.
 func (w *WheelScheduler) Schedule(delay uint64, fn func()) { w.ScheduleAt(w.now+delay, fn) }
 
-// ScheduleAt implements Scheduler.
+// ScheduleAt enqueues fn at the given absolute cycle, which must not precede
+// the current cycle.
 func (w *WheelScheduler) ScheduleAt(cycle uint64, fn func()) {
 	if cycle < w.now {
 		panic(fmt.Sprintf("sim: scheduling event at cycle %d, now is %d", cycle, w.now))
@@ -110,7 +128,8 @@ func (w *WheelScheduler) nextWheel() uint64 {
 	panic("sim: wheel occupancy bitmap inconsistent with event count")
 }
 
-// NextDue implements Scheduler. Overflow events are always at least a full
+// NextDue returns the earliest cycle holding a pending event, or NoEvent
+// when the queue is empty. Overflow events are always at least a full
 // window away, so the wheel wins whenever it holds anything. The result is
 // memoized; sliding the window does not invalidate it (the pending set and
 // its cycles are unchanged), only drains and earlier inserts do.
@@ -143,7 +162,9 @@ func (w *WheelScheduler) slideTo(n uint64) {
 	}
 }
 
-// Advance implements Scheduler: batched per-cycle dispatch. Handlers may
+// Advance moves the clock to now (monotonically) and dispatches every event
+// due at or before now, returning how many ran: batched per-cycle dispatch.
+// Handlers may
 // schedule new events for the cycle being drained (the loop re-reads the
 // bucket, so appends made mid-drain are picked up in FIFO position).
 func (w *WheelScheduler) Advance(now uint64) uint64 {
@@ -176,5 +197,66 @@ func (w *WheelScheduler) Advance(now uint64) uint64 {
 	return ran
 }
 
-// Pending implements Scheduler.
+// Pending reports how many events are queued.
 func (w *WheelScheduler) Pending() int { return w.wheelCount + len(w.overflow) }
+
+// event is one scheduled closure, keyed by (cycle, seq): seq is the global
+// scheduling sequence number that breaks same-cycle ties FIFO.
+type event struct {
+	cycle uint64
+	seq   uint64
+	fn    func()
+}
+
+// eventHeap is a hand-rolled binary min-heap ordered by (cycle, seq). It is
+// typed (no interface boxing) and backs the wheel's far-future overflow
+// calendar.
+type eventHeap []event
+
+func (h eventHeap) less(i, j int) bool {
+	if h[i].cycle != h[j].cycle {
+		return h[i].cycle < h[j].cycle
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !s.less(i, parent) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) pop() event {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = event{} // release the closure for GC
+	s = s[:n]
+	*h = s
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < n && s.less(l, smallest) {
+			smallest = l
+		}
+		if r < n && s.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			break
+		}
+		s[i], s[smallest] = s[smallest], s[i]
+		i = smallest
+	}
+	return top
+}

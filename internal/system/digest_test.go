@@ -2,11 +2,8 @@ package system
 
 import (
 	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
-
-	"nomad/internal/sim"
 )
 
 // digestConfig is smallConfig with digest capture on at a short interval so
@@ -20,49 +17,39 @@ func digestConfig(scheme SchemeName) Config {
 
 // TestDigestChainByteIdentical is the digest determinism contract the whole
 // diag subsystem rests on: for every scheme, the digest chain must be
-// byte-for-byte identical across both engines and fast-forward on/off. A
-// digest difference must mean the runs behaved differently — never that the
-// host executed them differently.
+// byte-for-byte identical with fast-forward on and off. A digest difference
+// must mean the runs behaved differently — never that the host executed
+// them differently.
 func TestDigestChainByteIdentical(t *testing.T) {
 	for _, s := range AllSchemes() {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
-			var ref []byte
-			var refVariant string
-			for _, kind := range []sim.Kind{sim.KindWheel, sim.KindHeap} {
-				for _, ff := range []bool{true, false} {
-					cfg := digestConfig(s)
-					cfg.Engine = kind
-					cfg.FastForward = ff
-					m, err := New(cfg, smallSpec())
-					if err != nil {
-						t.Fatal(err)
-					}
-					r, err := m.Run()
-					if err != nil {
-						t.Fatal(err)
-					}
-					dc := r.Metrics.Digests
-					if dc == nil {
-						t.Fatal("Config.Digests produced no chain")
-					}
-					if dc.Windows() == 0 {
-						t.Fatal("digest chain is empty")
-					}
-					enc, err := json.Marshal(dc)
-					if err != nil {
-						t.Fatal(err)
-					}
-					variant := fmt.Sprintf("engine=%s/ff=%v", kind, ff)
-					if ref == nil {
-						ref, refVariant = enc, variant
-						continue
-					}
-					if string(enc) != string(ref) {
-						t.Errorf("digest chain differs between %s and %s\n%s: %.300s\n%s: %.300s",
-							refVariant, variant, refVariant, ref, variant, enc)
-					}
+			var chains [2][]byte
+			for i, ff := range []bool{true, false} {
+				cfg := digestConfig(s)
+				cfg.NoFastForward = !ff
+				m, err := New(cfg, smallSpec())
+				if err != nil {
+					t.Fatal(err)
 				}
+				r, err := m.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				dc := r.Metrics.Digests
+				if dc == nil {
+					t.Fatal("Config.Digests produced no chain")
+				}
+				if dc.Windows() == 0 {
+					t.Fatal("digest chain is empty")
+				}
+				if chains[i], err = json.Marshal(dc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if string(chains[0]) != string(chains[1]) {
+				t.Errorf("digest chain differs between ff=true and ff=false\nff=true:  %.300s\nff=false: %.300s",
+					chains[0], chains[1])
 			}
 		})
 	}
@@ -123,8 +110,8 @@ func TestDigestsOffByDefault(t *testing.T) {
 
 // TestROICycleLimit pins the partial-replay primitive Bisect relies on: a
 // run cut off at cycle N ends at exactly N (ROI-relative), is a
-// deterministic prefix of the full run, and behaves identically across
-// engines and fast-forward modes.
+// deterministic prefix of the full run, and behaves identically with
+// fast-forward on and off.
 func TestROICycleLimit(t *testing.T) {
 	full := func() *Result {
 		cfg := digestConfig(SchemeTDC)
@@ -147,43 +134,40 @@ func TestROICycleLimit(t *testing.T) {
 	stop := fullDC.Cycles[1]
 
 	var ref *Result
-	for _, kind := range []sim.Kind{sim.KindWheel, sim.KindHeap} {
-		for _, ff := range []bool{true, false} {
-			cfg := digestConfig(SchemeTDC)
-			cfg.Timeline = true
-			cfg.ROICycleLimit = stop
-			cfg.Engine = kind
-			cfg.FastForward = ff
-			m, err := New(cfg, smallSpec())
-			if err != nil {
-				t.Fatal(err)
+	for _, ff := range []bool{true, false} {
+		cfg := digestConfig(SchemeTDC)
+		cfg.Timeline = true
+		cfg.ROICycleLimit = stop
+		cfg.NoFastForward = !ff
+		m, err := New(cfg, smallSpec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.Run()
+		if err != nil {
+			t.Fatalf("cutoff run (ff=%v): %v", ff, err)
+		}
+		if r.Cycles != stop {
+			t.Fatalf("ff=%v: cutoff run ended at cycle %d, want exactly %d", ff, r.Cycles, stop)
+		}
+		// The partial chain must be a prefix of the full run's chain.
+		pdc := r.Metrics.Digests
+		if pdc.Windows() != 2 {
+			t.Fatalf("ff=%v: cutoff run collected %d windows, want 2", ff, pdc.Windows())
+		}
+		for i := 0; i < 2; i++ {
+			if pdc.Digests[i] != fullDC.Digests[i] || pdc.Cycles[i] != fullDC.Cycles[i] {
+				t.Errorf("ff=%v: window %d = (%d, %s), full run has (%d, %s): not a prefix",
+					ff, i, pdc.Cycles[i], pdc.Digests[i], fullDC.Cycles[i], fullDC.Digests[i])
 			}
-			r, err := m.Run()
-			if err != nil {
-				t.Fatalf("cutoff run (engine=%s ff=%v): %v", kind, ff, err)
-			}
-			if r.Cycles != stop {
-				t.Fatalf("engine=%s ff=%v: cutoff run ended at cycle %d, want exactly %d", kind, ff, r.Cycles, stop)
-			}
-			// The partial chain must be a prefix of the full run's chain.
-			pdc := r.Metrics.Digests
-			if pdc.Windows() != 2 {
-				t.Fatalf("engine=%s ff=%v: cutoff run collected %d windows, want 2", kind, ff, pdc.Windows())
-			}
-			for i := 0; i < 2; i++ {
-				if pdc.Digests[i] != fullDC.Digests[i] || pdc.Cycles[i] != fullDC.Cycles[i] {
-					t.Errorf("engine=%s ff=%v: window %d = (%d, %s), full run has (%d, %s): not a prefix",
-						kind, ff, i, pdc.Cycles[i], pdc.Digests[i], fullDC.Cycles[i], fullDC.Digests[i])
-				}
-			}
-			if ref == nil {
-				ref = r
-				continue
-			}
-			// Cutoff runs must also be variant-invariant among themselves.
-			if !reflect.DeepEqual(r.Metrics, ref.Metrics) {
-				t.Errorf("engine=%s ff=%v: cutoff snapshot differs from first variant", kind, ff)
-			}
+		}
+		if ref == nil {
+			ref = r
+			continue
+		}
+		// Cutoff runs must also be invariant to fast-forward.
+		if !reflect.DeepEqual(r.Metrics, ref.Metrics) {
+			t.Errorf("ff=%v: cutoff snapshot differs from ff=true", ff)
 		}
 	}
 }

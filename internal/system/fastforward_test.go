@@ -25,7 +25,7 @@ func TestFastForwardByteIdentical(t *testing.T) {
 				cfg.TraceDepth = 1 << 12
 				cfg.SpanDepth = 1 << 11
 				cfg.SelfProfile = true
-				cfg.FastForward = ff
+				cfg.NoFastForward = !ff
 				m, err := New(cfg, smallSpec())
 				if err != nil {
 					t.Fatalf("New(%s, ff=%v): %v", s, ff, err)

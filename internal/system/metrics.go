@@ -38,12 +38,8 @@ func (m *Machine) registerMetrics() {
 	}
 	if m.cfg.SpanDepth > 0 {
 		reg.EnableSpans(m.cfg.SpanDepth)
-		every := m.cfg.SpanSampleEvery
-		if every == 0 {
-			every = DefaultSpanSampleEvery
-		}
 		for _, c := range m.cores {
-			c.SetSpanTracing(reg.Spans(), every)
+			c.SetSpanTracing(reg.Spans(), m.cfg.SpanSampleEvery)
 		}
 	}
 
@@ -167,7 +163,7 @@ func (m *Machine) registerMetrics() {
 	})
 
 	m.eng.SetSampler(window, reg.Sample)
-	m.eng.SetInterval(m.interval(), m.intervalTick)
+	m.eng.SetInterval(m.cfg.Interval, m.intervalTick)
 }
 
 // intervalRate registers a timeline column whose value is read()'s delta per

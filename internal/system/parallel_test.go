@@ -22,7 +22,7 @@ func parRun(s SchemeName, cores int, ff bool) ([]byte, []byte, error) {
 	cfg.Interval = 20_000
 	cfg.TraceDepth = 1 << 12
 	cfg.SpanDepth = 1 << 11
-	cfg.FastForward = ff
+	cfg.NoFastForward = !ff
 	m, err := New(cfg, smallSpec())
 	if err != nil {
 		return nil, nil, fmt.Errorf("New(%s): %w", s, err)

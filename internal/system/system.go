@@ -74,8 +74,30 @@ type Config struct {
 	// SampleWindow is the metrics time-series sampling period in cycles;
 	// 0 selects DefaultSampleWindow.
 	SampleWindow uint64
+	// ROICycleLimit, when positive, ends the measured region successfully
+	// after exactly this many ROI cycles even if the retirement target has
+	// not been reached. Because the engine lands on the limit cycle
+	// exactly (fast-forward never overshoots a bound), the partial run's
+	// snapshot is a deterministic prefix of the full run's — the replay
+	// knob diag.Bisect uses to re-run just up to a divergent window.
+	ROICycleLimit uint64
+
+	// Telemetry holds the run switches: capture, host profiling and
+	// dormancy.
+	Telemetry
+}
+
+// Telemetry is the set of run switches every API layer shares: the public
+// nomad.Config and nomad.ExperimentOptions, harness.Options and Config all
+// embed this one struct, and the CLIs fill it through cliflags. The zero
+// value turns all capture off and dormancy on, and leaves the periods to
+// their defaults (see Resolved).
+//
+//nomad:owner host
+type Telemetry struct {
 	// TraceDepth, when positive, enables the typed event-trace ring
-	// buffer with that many entries.
+	// buffer with that many entries: the last TraceDepth machine events
+	// (tag misses, PCSHR fills/writebacks, row conflicts) of the ROI.
 	TraceDepth int
 	// SpanDepth, when positive, enables per-access latency spans: 1 in
 	// SpanSampleEvery loads per core is followed from issue to data
@@ -86,48 +108,57 @@ type Config struct {
 	SpanSampleEvery uint64
 
 	// Timeline enables interval time-series telemetry: every Interval
-	// cycles of the measured region, a configurable set of registry
-	// metrics is snapshotted into windowed columns (Snapshot.Timeline).
-	// The first window starts exactly at the ROI boundary.
+	// cycles of the measured region, a set of registry metrics (per-core
+	// IPC, DC hit rate, PCSHR occupancy high-water, HBM/DDR bandwidth by
+	// category, row-buffer conflict rate, MSHR occupancy) is snapshotted
+	// into windowed columns (Snapshot.Timeline). The first window starts
+	// exactly at the ROI boundary, and same-seed runs capture
+	// byte-identical timelines.
 	Timeline bool
-	// Interval is the interval-hook period in cycles, used by the timeline
-	// and progress reporting; 0 selects sim.DefaultInterval (100k).
+	// Interval is the window length in cycles of the timeline, the digest
+	// chain and progress reporting; 0 selects sim.DefaultInterval (100k).
 	Interval uint64
 	// TimelineMetrics restricts collected timeline columns to names
-	// matching these prefixes; empty collects the full default set.
+	// matching these prefixes (e.g. "core.", "hbm.gbs."); empty collects
+	// the full default set.
 	TimelineMetrics []string
 	// Digests enables interval digest chains: every Interval cycles of the
 	// measured region, a chained FNV-1a digest of the full registry is
-	// folded into Snapshot.Digests. Chains are byte-identical across
-	// engines and fast-forward modes, same-seed, and localize a divergence
-	// between two runs to one interval window (see internal/diag).
+	// folded into Snapshot.Digests. Chains are byte-identical same-seed
+	// and across dormancy on/off, and localize a divergence between two
+	// runs to one interval window (see internal/diag). One hash per window
+	// makes them far cheaper than Timeline.
 	Digests bool
-	// ROICycleLimit, when positive, ends the measured region successfully
-	// after exactly this many ROI cycles even if the retirement target has
-	// not been reached. Because the engine lands on the limit cycle
-	// exactly (fast-forward never overshoots a bound), the partial run's
-	// snapshot is a deterministic prefix of the full run's — the replay
-	// knob diag.Bisect uses to re-run just up to a divergent window.
-	ROICycleLimit uint64
+
 	// SelfProfile attaches a host-side profiler to the run: wall-clock
 	// simulated-cycles/sec, events/sec, heap-in-use, and GC pauses, in
 	// Result.Host. Host readings are inherently non-deterministic, so this
 	// is off by default and never part of the metrics snapshot.
 	SelfProfile bool
-	// FastForward enables per-ticker dormancy in the engine: a core that is
-	// OS-suspended or head-of-ROB stalled, and a DRAM device with nothing
-	// to issue, stop ticking until an event gives them work (the core
-	// charges the slept cycles in bulk), and when nothing is awake the
-	// clock jumps straight to the next event, timed wake or hook boundary.
-	// The run's observable output (Snapshot, Timeline, traces) is
-	// byte-identical either way; DefaultConfig enables it, and the CLIs
-	// expose -no-ff to switch it off.
-	FastForward bool
-	// Engine selects the event-queue implementation driving the run:
-	// sim.KindWheel (the default timing wheel) or sim.KindHeap (the
-	// binary-heap oracle). Results are byte-identical across engines; the
-	// knob exists for differential testing and performance comparison.
-	Engine sim.Kind
+	// NoFastForward switches off per-ticker dormancy in the engine. With
+	// dormancy on (the zero value), a core that is OS-suspended or
+	// head-of-ROB stalled, and a DRAM device with nothing to issue, stop
+	// ticking until an event gives them work (the core charges the slept
+	// cycles in bulk), and when nothing is awake the clock jumps straight
+	// to the next event, timed wake or hook boundary. The run's observable
+	// output (Snapshot, Timeline, traces) is byte-identical either way; the
+	// switch exists for debugging and for measuring the speedup, and the
+	// CLIs expose it as -no-ff.
+	NoFastForward bool
+}
+
+// Resolved returns t with its zero-means-default periods spelled out. It is
+// the one place those defaults are decided: New runs on the resolved
+// switches, and obs manifests hash them, so a run that leaves a period 0 and
+// one that spells its default are the same run.
+func (t Telemetry) Resolved() Telemetry {
+	if t.SpanSampleEvery == 0 {
+		t.SpanSampleEvery = DefaultSpanSampleEvery
+	}
+	if t.Interval == 0 {
+		t.Interval = sim.DefaultInterval
+	}
+	return t
 }
 
 // DefaultSpanSampleEvery is the span sampling period used when
@@ -155,7 +186,6 @@ func DefaultConfig() Config {
 		ROIInstructions:    1_200_000,
 		MaxCycles:          400_000_000,
 		Seed:               1,
-		FastForward:        true,
 	}
 }
 
@@ -314,12 +344,9 @@ func New(cfg Config, spec workload.Spec) (*Machine, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("system: core count must be positive, got %d", cfg.Cores)
 	}
-	sched, err := sim.NewScheduler(cfg.Engine)
-	if err != nil {
-		return nil, err
-	}
-	m := &Machine{cfg: cfg, workload: spec.Abbr, eng: sim.New(sim.WithScheduler(sched))}
-	m.eng.SetFastForward(cfg.FastForward)
+	cfg.Telemetry = cfg.Telemetry.Resolved()
+	m := &Machine{cfg: cfg, workload: spec.Abbr, eng: sim.New()}
+	m.eng.SetFastForward(!cfg.NoFastForward)
 	// The DRAM devices register first, so they tick before the cores:
 	// issue rewrites the causes of the loads the cores stall on.
 	m.hbm = dram.New(m.eng, cfg.HBM)
@@ -429,14 +456,6 @@ func (p Progress) Fraction() float64 {
 // observes simulation state but must not mutate it; it is intended for
 // host-side progress/ETA printing and does not perturb determinism.
 func (m *Machine) SetProgress(fn func(Progress)) { m.progressFn = fn }
-
-// interval returns the machine's interval-hook period.
-func (m *Machine) interval() uint64 {
-	if m.cfg.Interval > 0 {
-		return m.cfg.Interval
-	}
-	return sim.DefaultInterval
-}
 
 // intervalTick is the engine interval hook: progress first (host-facing),
 // then the timeline sample (no-op until BeginTimeline).
@@ -558,12 +577,12 @@ func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	// Re-anchor the interval hook at the ROI boundary so the first timeline
 	// window starts at ROI cycle 0 and every boundary is an exact multiple
 	// of the interval from MarkROI.
-	m.eng.SetInterval(m.interval(), m.intervalTick)
+	m.eng.SetInterval(m.cfg.Interval, m.intervalTick)
 	if cfg.Timeline {
-		m.reg.BeginTimeline(m.eng.Now(), m.interval())
+		m.reg.BeginTimeline(m.eng.Now(), m.cfg.Interval)
 	}
 	if cfg.Digests {
-		m.reg.BeginDigests(m.eng.Now(), m.interval())
+		m.reg.BeginDigests(m.eng.Now(), m.cfg.Interval)
 	}
 	for i, c := range m.cores {
 		base[i] = c.Stats().Instructions

@@ -151,7 +151,7 @@ func (t *Timeline) MetricNames() []string {
 // folding in Digests[i-1], so a behavioral divergence in any window
 // perturbs every later digest. Cycles[i] is that window's end relative to
 // StartCycle (the ROI boundary). Same-seed runs produce byte-identical
-// chains across engines and fast-forward modes; the first differing window
+// chains with fast-forward on and off; the first differing window
 // between two runs localizes their divergence (see cmd/nomaddiff).
 type DigestChain struct {
 	// Algo names the chain construction ("fnv64a-chain/1").

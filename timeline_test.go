@@ -11,7 +11,7 @@ import (
 func timelineFastConfig(s Scheme) Config {
 	cfg := fastConfig(s)
 	cfg.Timeline = true
-	cfg.TimelineInterval = 50_000
+	cfg.Interval = 50_000
 	return cfg
 }
 
@@ -137,10 +137,10 @@ func TestTimelineExperiment(t *testing.T) {
 }
 
 func TestExperimentTimelineOptionPropagates(t *testing.T) {
-	// ExperimentOptions.TimelineInterval must reach every underlying run
+	// ExperimentOptions.Interval must reach every underlying run
 	// (public options → harness options → system config).
 	res, err := RunExperimentResult(context.Background(), "timeline",
-		ExperimentOptions{Fast: true, TimelineInterval: 50_000})
+		ExperimentOptions{Fast: true, Telemetry: Telemetry{Interval: 50_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
